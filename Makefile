@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench quick serve-smoke cluster-smoke e23-smoke mg-smoke mfree-smoke pipelined-smoke docs-lint
+.PHONY: all build vet test race flake check smoke bench quick serve-smoke cluster-smoke docs-lint
 
 all: check
 
@@ -35,7 +35,15 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
-check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke docs-lint
+# Repeated race runs over the packages whose tests drive concurrent
+# SPMD runs, batches and membership loops: the scheduler's dispatch
+# path, the plan handles it solves from, and the cluster joiner. A
+# change to comm, core, serve or cluster runs this before merging.
+FLAKE_COUNT ?= 20
+flake:
+	$(GO) test -race -count=$(FLAKE_COUNT) ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/...
+
+check: build vet test race smoke docs-lint
 
 # Documentation floor: every package carries a package doc comment, and
 # the strict packages (internal/comm, internal/core, internal/hpfexec)
@@ -43,32 +51,35 @@ check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke docs-l
 docs-lint:
 	$(GO) run ./cmd/doclint
 
-# Quick pass over the communication-avoiding s-step path: the E23
-# tables exercise the matrix-powers kernel, the batched Gram recovery,
-# the stability guard and the cost-model selector end to end.
-e23-smoke:
-	$(GO) run ./cmd/cgbench -exp E23 -quick > /dev/null
+# End-to-end smoke runs, one list. Each entry is the argument list of
+# one `go run`; its output is discarded and any failure fails the
+# target. Covered: the s-step path (E23: matrix-powers kernel, batched
+# Gram recovery, stability guard, cost-model selector); the HPCG path
+# (a V-cycle-preconditioned hpfrun solve, with and without the
+# watchdog, plus E24's enforced pcg-beats-cg and bit-identity claims);
+# the matrix-free path (an assembly-free hpfrun solve, with and without
+# the watchdog, plus E25's bit-identity and setup-elimination claims);
+# the pipelined path (a hidden-round hpfrun solve plus E26's
+# pipelined-beats-plain and frontier claims); and the served dispatch
+# path, single node and clustered (serve-smoke, cluster-smoke).
+SMOKE_RUNS = \
+	"./cmd/cgbench -exp E23 -quick" \
+	"./cmd/hpfrun -hpcg 6,6,6 -np 4" \
+	"./cmd/hpfrun -hpcg 6,6,6 -timeout 30s" \
+	"./cmd/cgbench -exp E24 -quick" \
+	"./cmd/hpfrun -stencil 5pt:32,24 -np 4" \
+	"./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s" \
+	"./cmd/cgbench -exp E25 -quick" \
+	"./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined" \
+	"./cmd/cgbench -exp E26 -quick" \
+	"./cmd/hpfserve -smoke" \
+	"./cmd/hpfserve -cluster-smoke"
 
-# Quick pass over the HPCG path: a V-cycle-preconditioned solve through
-# hpfrun (smoother, transfers, FoM print) plus the E24 sweep with its
-# enforced pcg-beats-cg and bit-identity claims.
-mg-smoke:
-	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
-	$(GO) run ./cmd/cgbench -exp E24 -quick > /dev/null
-
-# Quick pass over the matrix-free stencil path: an assembly-free solve
-# through hpfrun (geometric halo, zero modeled setup) plus the E25
-# sweep with its enforced bit-identity and setup-elimination claims.
-mfree-smoke:
-	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
-	$(GO) run ./cmd/cgbench -exp E25 -quick > /dev/null
-
-# Quick pass over the pipelined overlap path: a hidden-round solve
-# through hpfrun (overlap books printed) plus the E26 latency-regime
-# map with its enforced pipelined-beats-plain and frontier claims.
-pipelined-smoke:
-	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
-	$(GO) run ./cmd/cgbench -exp E26 -quick > /dev/null
+smoke:
+	@for run in $(SMOKE_RUNS); do \
+		echo "smoke: go run $$run"; \
+		$(GO) run $$run > /dev/null || exit 1; \
+	done
 
 # Modeled-machine benchmarks (send path allocation counts included),
 # plus the E19 communication-avoidance, E20 resilience, E21 solver-

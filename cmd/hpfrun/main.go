@@ -96,11 +96,11 @@ func main() {
 		}
 	}
 	if *hpcg != "" {
-		runHPCG(*hpcg, *np, *topoName, *tol, *levels, *smooths)
+		runHPCG(*hpcg, *np, *topoName, *tol, *levels, *smooths, *timeout)
 		return
 	}
 	if *stencil != "" {
-		runStencil(*stencil, *np, *topoName, *tol, *pipelined)
+		runStencil(*stencil, *np, *topoName, *tol, *pipelined, *timeout)
 		return
 	}
 
@@ -184,8 +184,7 @@ func main() {
 		fatal(fmt.Errorf("-sstep does not combine with -resilient (checkpointing is per-iteration)"))
 	}
 	var res *hpfexec.Result
-	switch {
-	case *resilient:
+	if *resilient {
 		rres, rerr := hpfexec.SolveCGResilient(m, plan, A, b, core.Options{Tol: *tol},
 			hpfexec.ResilientOptions{Interval: *ckpt, MaxRestarts: *restarts})
 		if rerr != nil {
@@ -197,21 +196,20 @@ func main() {
 		for _, pf := range rres.Failures {
 			fmt.Printf("          %v\n", pf)
 		}
-	case *pipelined && *timeout > 0:
-		res, err = hpfexec.SolveCGPipelinedTimeout(m, plan, A, b, core.Options{Tol: *tol}, *timeout)
-	case *pipelined:
-		res, err = hpfexec.SolveCGPipelined(m, plan, A, b, core.Options{Tol: *tol})
-	case *sstep >= 0 && *timeout > 0:
-		res, err = hpfexec.SolveCGSStepTimeout(m, plan, A, b, core.Options{Tol: *tol}, *sstep, *timeout)
-	case *sstep >= 0:
-		res, err = hpfexec.SolveCGSStep(m, plan, A, b, core.Options{Tol: *tol}, *sstep)
-	case *timeout > 0:
-		res, err = hpfexec.SolveCGTimeout(m, plan, A, b, core.Options{Tol: *tol}, *timeout)
-	default:
-		res, err = hpfexec.SolveCG(m, plan, A, b, core.Options{Tol: *tol})
-	}
-	if err != nil {
-		fatal(err)
+	} else {
+		var pr *hpfexec.Prepared
+		switch {
+		case *pipelined:
+			pr, err = hpfexec.PreparePipelined(m, plan, A)
+		case *sstep >= 0:
+			pr, err = hpfexec.PrepareSStep(m, plan, A, *sstep)
+		default:
+			pr, err = hpfexec.Prepare(m, plan, A)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		res = solve(pr, b, *tol, *timeout).Results[0]
 	}
 	if *sstep >= 0 {
 		fmt.Printf("sstep:    s=%d (requested %d) guard_trips=%d\n",
@@ -244,7 +242,7 @@ func main() {
 // the 27-point stencil, each rank owning an nx×ny×nz brick. Prints the
 // solver stats, the modeled machine line, and the HPCG-style figure of
 // merit (charged flops over the modeled makespan and over wall clock).
-func runHPCG(brick string, np int, topoName string, tol float64, levels, smooths int) {
+func runHPCG(brick string, np int, topoName string, tol float64, levels, smooths int, timeout time.Duration) {
 	var nx, ny, nz int
 	if _, err := fmt.Sscanf(brick, "%d,%d,%d", &nx, &ny, &nz); err != nil {
 		fatal(fmt.Errorf("-hpcg wants nx,ny,nz (e.g. 8,8,8), got %q", brick))
@@ -260,10 +258,7 @@ func runHPCG(brick string, np int, topoName string, tol float64, levels, smooths
 	}
 	b := sparse.RandomVector(pr.N(), 42)
 	start := time.Now()
-	out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: tol}})
-	if err != nil {
-		fatal(err)
-	}
+	out := solve(pr, b, tol, timeout)
 	wall := time.Since(start).Seconds()
 	res := out.Results[0]
 	fmt.Printf("stencil:  27-pt, brick %dx%dx%d per rank, n=%d np=%d levels=%d\n",
@@ -285,7 +280,7 @@ func runHPCG(brick string, np int, topoName string, tol float64, levels, smooths
 // operator — nothing assembled, halo schedules derived from the slab
 // geometry, modeled setup exactly zero. With -pipelined the solve runs
 // the overlap recurrence, the stencil application hiding the round.
-func runStencil(arg string, np int, topoName string, tol float64, pipelined bool) {
+func runStencil(arg string, np int, topoName string, tol float64, pipelined bool, timeout time.Duration) {
 	spec := mfree.Spec{}
 	kind, dims, ok := strings.Cut(arg, ":")
 	if !ok {
@@ -317,11 +312,7 @@ func runStencil(arg string, np int, topoName string, tol float64, pipelined bool
 	if err != nil {
 		fatal(err)
 	}
-	b := sparse.RandomVector(pr.N(), 42)
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: tol}})
-	if err != nil {
-		fatal(err)
-	}
+	out := solve(pr, sparse.RandomVector(pr.N(), 42), tol, timeout)
 	res := out.Results[0]
 	if pipelined {
 		hidden, exposed := out.Run.ReduceOverlap()
@@ -339,6 +330,23 @@ func runStencil(arg string, np int, topoName string, tol float64, pipelined bool
 	if !res.Stats.Converged {
 		os.Exit(2)
 	}
+}
+
+// solve runs one right-hand side on the handle, under the deadlock
+// watchdog when timeout > 0, and exits on failure.
+func solve(pr *hpfexec.Prepared, b []float64, tol float64, timeout time.Duration) *hpfexec.BatchResult {
+	rhs, opts := [][]float64{b}, []core.Options{{Tol: tol}}
+	var out *hpfexec.BatchResult
+	var err error
+	if timeout > 0 {
+		out, err = pr.SolveBatchTimeout(rhs, opts, timeout)
+	} else {
+		out, err = pr.SolveBatch(rhs, opts)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return out
 }
 
 // findFormat reports whether the program declares a CSR sparse matrix.

@@ -67,10 +67,15 @@ func main() {
 			log.Fatal(err)
 		}
 		m := comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams())
-		res, err := hpfexec.SolveCG(m, plan, A, b, core.Options{Tol: 1e-10})
+		pr, err := hpfexec.Prepare(m, plan, A)
 		if err != nil {
 			log.Fatal(err)
 		}
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := out.Results[0]
 		fmt.Printf("--- %s ---\n", pl.name)
 		fmt.Printf("strategy: %s\n", res.Strategy)
 		fmt.Printf("solver:   %s\n", res.Stats)

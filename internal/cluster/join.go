@@ -59,9 +59,18 @@ func NewJoiner(opts JoinOptions) (*Joiner, error) {
 // Run registers, then heartbeats until ctx is cancelled, then
 // deregisters (on a short fresh context — the caller's is already
 // dead). Registration failures retry with backoff rather than erroring
-// out: the router may simply not be up yet.
+// out: the router may simply not be up yet. Once a register has been
+// sent, every exit deregisters — including a cancel while a register
+// (the first one, or a re-register after eviction) is still in flight,
+// which the router may already have applied.
 func (j *Joiner) Run(ctx context.Context) error {
-	if err := j.registerUntil(ctx); err != nil {
+	sent := false
+	defer func() {
+		if sent {
+			j.deregister()
+		}
+	}()
+	if err := j.registerUntil(ctx, &sent); err != nil {
 		return err
 	}
 	tick := time.NewTicker(j.opts.HeartbeatEvery)
@@ -69,13 +78,6 @@ func (j *Joiner) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			dctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := j.post(dctx, "/cluster/deregister", nil); err != nil {
-				j.logf("cluster: deregister from %s failed: %v", j.opts.RouterURL, err)
-			} else {
-				j.logf("cluster: shard %s left the ring", j.opts.Name)
-			}
 			return ctx.Err()
 		case <-tick.C:
 			err := j.post(ctx, "/cluster/heartbeat", func(status int) error {
@@ -88,7 +90,7 @@ func (j *Joiner) Run(ctx context.Context) error {
 				// The router evicted us (restart, long GC pause...):
 				// re-register instead of heartbeating into the void.
 				j.logf("cluster: shard %s was evicted, re-registering", j.opts.Name)
-				if err := j.registerUntil(ctx); err != nil {
+				if err := j.registerUntil(ctx, &sent); err != nil {
 					return err
 				}
 			} else if err != nil && ctx.Err() == nil {
@@ -100,10 +102,23 @@ func (j *Joiner) Run(ctx context.Context) error {
 
 var errEvicted = fmt.Errorf("cluster: shard evicted by router")
 
+// deregister leaves the ring on a short fresh context.
+func (j *Joiner) deregister() {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := j.post(ctx, "/cluster/deregister", nil); err != nil {
+		j.logf("cluster: deregister from %s failed: %v", j.opts.RouterURL, err)
+		return
+	}
+	j.logf("cluster: shard %s left the ring", j.opts.Name)
+}
+
 // registerUntil retries registration with linear backoff until it
-// succeeds or ctx dies.
-func (j *Joiner) registerUntil(ctx context.Context) error {
+// succeeds or ctx dies. It sets *sent before the first request goes
+// out.
+func (j *Joiner) registerUntil(ctx context.Context, sent *bool) error {
 	for attempt := 0; ; attempt++ {
+		*sent = true
 		err := j.post(ctx, "/cluster/register", nil)
 		if err == nil {
 			j.logf("cluster: shard %s joined %s as %s", j.opts.Name, j.opts.RouterURL, j.opts.AdvertiseURL)

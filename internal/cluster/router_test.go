@@ -502,3 +502,71 @@ func TestJoinerLifecycle(t *testing.T) {
 		t.Fatal("shard still registered after graceful shutdown")
 	}
 }
+
+// TestJoinerDeregistersWhenCancelledMidRegister: shutdown that lands
+// while a register is in flight — the first one, or the re-register
+// after a 404 heartbeat — must still deregister before Run returns,
+// because the router may already have put the shard on the ring. The
+// test router holds the register open until the test cancels, so the
+// interleaving is forced, not timed.
+func TestJoinerDeregistersWhenCancelledMidRegister(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// hold is the register call (1-based) the router holds open.
+		hold int32
+	}{
+		{"first register", 1},
+		{"re-register after eviction", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var registers atomic.Int32
+			var deregistered atomic.Bool
+			held := make(chan struct{})
+			release := make(chan struct{})
+			rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/cluster/register":
+					if registers.Add(1) == tc.hold {
+						close(held)
+						select {
+						case <-r.Context().Done():
+						case <-release:
+						}
+						return
+					}
+				case "/cluster/heartbeat":
+					w.WriteHeader(http.StatusNotFound)
+					return
+				case "/cluster/deregister":
+					deregistered.Store(true)
+				}
+				w.WriteHeader(http.StatusOK)
+			}))
+			defer rts.Close()
+			defer close(release)
+
+			j, err := NewJoiner(JoinOptions{
+				RouterURL:      rts.URL,
+				Name:           "joiner-1",
+				AdvertiseURL:   "http://shard:9",
+				HeartbeatEvery: time.Millisecond,
+				Logf:           t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- j.Run(ctx) }()
+
+			<-held
+			cancel()
+			if err := <-done; err != context.Canceled {
+				t.Fatalf("Run returned %v, want context.Canceled", err)
+			}
+			if !deregistered.Load() {
+				t.Fatal("Run returned without deregistering after a register was sent")
+			}
+		})
+	}
+}

@@ -179,7 +179,8 @@ var errAborted = errors.New("comm: run aborted by watchdog")
 // RunTimeout is Run with a deadlock watchdog: if the SPMD program has
 // not finished within d, every processor blocked in communication is
 // aborted and an error describing the hang is returned (with zero
-// stats). Mismatched collectives — the classic SPMD bug where one
+// stats). A run that completes cleanly but after d gets the same
+// error, so the verdict depends only on whether the run beat d. Mismatched collectives — the classic SPMD bug where one
 // processor takes a different branch — hang forever under Run;
 // RunTimeout turns them into a diagnosable failure. Like RunChecked,
 // it returns injected-fault failures as typed PeerFailure errors.
@@ -191,6 +192,10 @@ func (m *Machine) RunTimeout(fn func(p *Proc), d time.Duration) (RunStats, error
 	done := make(chan outcome, 1)
 	panicked := make(chan any, 1)
 	var rcHolder atomic.Pointer[runCtx]
+	hung := func() error {
+		return fmt.Errorf("comm: SPMD program deadlocked (no completion within %v); likely mismatched collectives or unmatched send/recv", d)
+	}
+	deadline := time.Now().Add(d)
 	go func() {
 		defer func() {
 			if e := recover(); e != nil {
@@ -202,6 +207,13 @@ func (m *Machine) RunTimeout(fn func(p *Proc), d time.Duration) (RunStats, error
 	}()
 	select {
 	case o := <-done:
+		// A clean run that ended past the deadline did not finish within
+		// d either: it gets the watchdog's verdict whether or not the
+		// timer has been delivered yet, so the outcome never depends on
+		// scheduling.
+		if o.err == nil && time.Now().After(deadline) {
+			return RunStats{}, hung()
+		}
 		return o.rs, o.err
 	case e := <-panicked:
 		panic(e)
@@ -219,7 +231,7 @@ func (m *Machine) RunTimeout(fn func(p *Proc), d time.Duration) (RunStats, error
 		case e := <-panicked:
 			panic(e)
 		}
-		return RunStats{}, fmt.Errorf("comm: SPMD program deadlocked (no completion within %v); likely mismatched collectives or unmatched send/recv", d)
+		return RunStats{}, hung()
 	}
 }
 

@@ -574,6 +574,19 @@ func TestRunTimeoutDetectsDeadlock(t *testing.T) {
 	}
 }
 
+// TestRunTimeoutLateCompletion: a run that finishes cleanly but after
+// its deadline gets the watchdog's error, however the completion and
+// the timer interleave — a 1ns deadline fails every run.
+func TestRunTimeoutLateCompletion(t *testing.T) {
+	m := testMachine(2)
+	for i := 0; i < 20; i++ {
+		_, err := m.RunTimeout(func(p *Proc) { p.Barrier() }, time.Nanosecond)
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("run %d: 1ns watchdog returned %v, want the deadlock error", i, err)
+		}
+	}
+}
+
 func TestRunTimeoutForwardsPanics(t *testing.T) {
 	m := testMachine(2)
 	defer func() {

@@ -1,31 +1,36 @@
-// Batch execution: the solver-as-a-service entry points. A service
-// that fields many solve requests against the same matrix should not
-// re-run the directive binding, the partitioner, the CSC conversion,
-// and the inspector's ghost-schedule exchange for every right-hand
-// side — the paper's §2 framing (one partitioned/inspected matrix,
-// many solves) and the enlarged-CG line both amortize exactly that
-// setup. Prepare captures everything RHS-independent once; SolveBatch
-// then solves a whole slice of right-hand sides in a single SPMD run,
-// building the operator (and exchanging the inspector schedule) once
-// and reusing one pooled core.Workspace per processor, so every solve
-// after the first is allocation-free on the hot path.
+// Batch execution: the one solve path. A service that fields many
+// solve requests against the same matrix should not re-run the
+// directive binding, the partitioner, the CSC conversion, and the
+// inspector's ghost-schedule exchange for every right-hand side — the
+// paper's §2 framing (one partitioned/inspected matrix, many solves)
+// and the enlarged-CG line both amortize exactly that setup. A
+// Prepare* constructor captures everything RHS-independent once;
+// SolveBatch then solves a whole slice of right-hand sides in a single
+// SPMD run, building each rank's operator (and exchanging the
+// inspector schedule) once and reusing one pooled core.Workspace per
+// processor, so every solve after the first is allocation-free on the
+// hot path. Every problem kind — assembled CSR/CSC, matrix-free
+// stencil, multigrid — and every solver variant runs through this one
+// body; a kind only supplies the function that builds a rank's
+// operator cold.
 //
-// Bit-identity: each RHS's solution is bit-identical to what a solo
-// SolveCG with the same spec would produce — the workspace hands back
+// Bit-identity: each RHS's solution is bit-identical to a solo solve
+// on fresh vectors with the same spec — the workspace hands back
 // zeroed vectors exactly like fresh allocation, the operator's pooled
-// gather buffers are PR 2's bit-stable reuse, and the solver sequence
+// gather buffers are bit-stable across reuse, and the solver sequence
 // per RHS is unchanged. TestBatchBitIdenticalToSolo holds this.
 package hpfexec
 
 import (
 	"fmt"
+	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
+	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/mfree"
-	"hpfcg/internal/mg"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
@@ -88,47 +93,59 @@ func PlanForLayout(layout string, np, n, nz int) (*hpf.Plan, error) {
 	return hpf.Bind(prog, np, sizes, map[string]int{"n": n, "nz": nz})
 }
 
-// Prepared is a reusable prepared-matrix handle: the RHS-independent
-// part of a directive-driven solve (plan validation, execution
-// strategy, partitioner redistribution, CSC conversion), bound to one
+// Prepared is a reusable prepared-problem handle: the RHS-independent
+// part of a solve (plan validation, execution strategy, partitioner
+// redistribution, CSC conversion, or a stencil spec), bound to one
 // machine. One Prepared serves any number of SolveBatch calls; after
-// the first, the per-rank operators (including the ghost executor's
-// inspector schedule) are cached and rebound into each new run, so a
-// warm SolveBatch pays zero modeled setup — the property the plan
-// registry (Registry) exposes to the serving tier.
+// the first successful one, each rank's operator (including the ghost
+// executor's inspector schedule or the multigrid hierarchy) is cached
+// and rebound into each new run, so a warm SolveBatch pays zero
+// modeled setup — the property the plan registry (Registry) exposes to
+// the serving tier.
 //
 // A Prepared is not safe for concurrent SolveBatch calls: it owns its
 // machine and its cached operators. Registry entries serialize access.
 type Prepared struct {
 	m        *comm.Machine
-	A        *sparse.CSR
-	pc       *preparedCG
+	n        int
 	strategy Strategy
+	bytes    int64
 
-	// ops[r] is rank r's operator, cached after the first batch run;
-	// warm gates the reuse. Each rank writes only its own slot inside
-	// the SPMD region, and warm flips only between runs.
-	ops  []spmv.Operator
-	warm bool
+	// cold builds rank p's solve state inside the SPMD region; ranks[r]
+	// caches rank r's result after a successful run and warm gates its
+	// reuse. Each rank writes only its own slot, and warm flips only
+	// between runs.
+	cold  func(p *comm.Proc) (rankState, error)
+	ranks []rankState
+	warm  bool
 
-	// MG handles (PrepareMG) carry a stencil spec instead of a matrix:
-	// A and pc are nil, and mgProbs[r] caches rank r's level hierarchy
-	// after the first SolveHPCGBatch the way ops caches operators.
-	mgSpec   *mg.Spec
+	// pc is the directive analysis of matrix handles (nil otherwise);
+	// its CSR layout picks ghost or broadcast on the first run.
+	pc *preparedCG
+	// mfSpec and mgLevels describe stencil and multigrid handles.
+	mfSpec   *mfree.Spec
 	mgLevels int
-	mgProbs  []*mg.Problem
+	// resilience, when set, runs core.CGResilient over its checkpoint
+	// store (SolveCGResilient's attempts).
+	resilience *core.Resilience
+}
 
-	// Matrix-free handles (PrepareStencil) carry only an mfree spec:
-	// no matrix, no hierarchy, and — uniquely — no setup cost at all,
-	// cold or warm, because the geometric halo schedule is computed
-	// locally from brick coordinates. mfOps[r] caches rank r's operator
-	// after the first SolveStencilBatch.
-	mfSpec *mfree.Spec
-	mfOps  []*mfree.Operator
+// rankState is one rank's cached solve state.
+type rankState struct {
+	op spmv.Operator
+	// M is the preconditioner; nil runs an unpreconditioned solver.
+	M core.Preconditioner
+	d dist.Dist
+	// rebind re-attaches the cached state to a new run's Proc; nil when
+	// the operator holds none.
+	rebind interface{ Rebind(p *comm.Proc) }
+	// ghost records the CSR inspector's executor choice.
+	ghost bool
+}
 
-	// pipelined selects core.CGPipelined for stencil handles
-	// (PrepareStencilPipelined); matrix handles carry the flag in pc.
-	pipelined bool
+// newPrepared builds a cold handle over n unknowns.
+func newPrepared(m *comm.Machine, n int, strategy Strategy, bytes int64, cold func(p *comm.Proc) (rankState, error)) *Prepared {
+	return &Prepared{m: m, n: n, strategy: strategy, bytes: bytes, cold: cold, ranks: make([]rankState, m.NP())}
 }
 
 // Prepare validates the plan against the matrix and fixes the
@@ -138,60 +155,38 @@ func Prepare(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
+	return newMatrixPrepared(m, pc), nil
+}
+
+// newMatrixPrepared wraps an analyzed plan: each rank builds its
+// executor with pc.operator on the first run.
+func newMatrixPrepared(m *comm.Machine, pc *preparedCG) *Prepared {
+	pr := newPrepared(m, pc.A.NRows, pc.strategy, pc.memoryBytes(), func(p *comm.Proc) (rankState, error) {
+		op, ghost := pc.operator(p)
+		rb, _ := op.(spmv.Rebindable)
+		return rankState{op: op, d: pc.d, rebind: rb, ghost: ghost}, nil
+	})
+	pr.pc = pc
+	return pr
 }
 
 // Warm reports whether the handle has run at least one batch and so
 // holds cached per-rank operators (the next run skips setup).
 func (pr *Prepared) Warm() bool { return pr.warm }
 
-// MemoryBytes estimates the resident size of the cached plan: the CSR
-// arrays, the CSC copy when the layout declared one, and a per-row
-// overhead for operator slices and ghost schedules. The registry's
-// byte budget accounts in these units; the estimate is deliberately
-// simple — it is a cache-pressure signal, not an allocator.
-func (pr *Prepared) MemoryBytes() int64 {
-	const intB, floatB = 8, 8
-	if pr.mfSpec != nil {
-		// Matrix-free handles hold two ghost planes per rank and a
-		// descriptor; the estimate is analytic in the spec.
-		return pr.mfSpec.ModelBytes(pr.m.NP())
-	}
-	if pr.mgSpec != nil {
-		// MG handles never materialize a matrix; the hierarchy's size
-		// is analytic in the spec.
-		return pr.mgSpec.ModelBytes(pr.m.NP())
-	}
-	sz := int64(len(pr.A.RowPtr)+len(pr.A.Col))*intB + int64(len(pr.A.Val))*floatB
-	if pr.pc.csc != nil {
-		sz += int64(len(pr.pc.csc.ColPtr)+len(pr.pc.csc.Row))*intB + int64(len(pr.pc.csc.Val))*floatB
-	}
-	// Operator-side copies (row remaps, ghost buffers) are at most
-	// another matrix-sized working set per machine.
-	sz *= 2
-	sz += int64(pr.A.NRows) * 2 * floatB
-	return sz
-}
+// MemoryBytes estimates the resident size of the cached plan. The
+// registry's byte budget accounts in these units; the estimate is
+// deliberately simple — it is a cache-pressure signal, not an
+// allocator.
+func (pr *Prepared) MemoryBytes() int64 { return pr.bytes }
 
-// Strategy returns the execution strategy the directives selected.
+// Strategy returns the execution strategy the handle's solves run.
 // For the CSR layout the executor choice (ghost vs broadcast) is made
 // collectively inside the first run; until then Mode reads "local".
 func (pr *Prepared) Strategy() Strategy { return pr.strategy }
 
 // N returns the system size.
-func (pr *Prepared) N() int {
-	if pr.mfSpec != nil {
-		return pr.mfSpec.N()
-	}
-	if pr.mgSpec != nil {
-		fine, err := pr.mgSpec.Fine(pr.m.NP())
-		if err != nil {
-			return 0
-		}
-		return fine.N()
-	}
-	return pr.A.NRows
-}
+func (pr *Prepared) N() int { return pr.n }
 
 // BatchResult is a completed multi-RHS batch solve.
 type BatchResult struct {
@@ -211,38 +206,45 @@ type BatchResult struct {
 	SolveModelTime []float64
 }
 
-// SolveCGBatch solves A·x = b_k for every right-hand side in rhs in a
-// single SPMD run: the mat-vec operator is built (and its inspector
-// schedule exchanged) once, then each RHS is solved in order reusing
-// one pooled core.Workspace per processor. opts[k] configures solve k;
-// a single-element opts slice applies to every RHS.
-func SolveCGBatch(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	pr, err := Prepare(m, plan, A)
-	if err != nil {
-		return nil, err
-	}
-	return pr.SolveBatch(rhs, opts)
+// SolveBatch solves the prepared problem for every right-hand side in
+// rhs in a single SPMD run: a cold handle builds each rank's operator
+// (exchanging any inspector schedule) once, a warm one rebinds the
+// cached operators; then each RHS is solved in order reusing one
+// pooled core.Workspace per processor. opts[k] configures solve k; a
+// single-element opts slice applies to every RHS. A processor killed
+// by the fault layer surfaces as a typed comm.PeerFailure error.
+func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
+	out, _, err := pr.solve(rhs, opts, pr.m.RunChecked)
+	return out, err
 }
 
-// SolveBatch runs one batch of right-hand sides (see SolveCGBatch).
-func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	if pr.mfSpec != nil {
-		return pr.SolveStencilBatch(rhs, opts)
-	}
-	if pr.mgSpec != nil {
-		return pr.SolveHPCGBatch(rhs, opts)
-	}
+// SolveBatchTimeout is SolveBatch under a deadlock watchdog: if the
+// SPMD run does not finish within d (wall time) it is aborted and the
+// machine's deadlock diagnostic is returned instead of hanging. A
+// timed-out run leaves the handle as it was, so a cold handle stays
+// cold and its next solve pays setup in full.
+func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d time.Duration) (*BatchResult, error) {
+	out, _, err := pr.solve(rhs, opts, func(fn func(p *comm.Proc)) (comm.RunStats, error) {
+		return pr.m.RunTimeout(fn, d)
+	})
+	return out, err
+}
+
+// solve is the batch body every entry point shares. run executes the
+// SPMD program; its statistics come back even when the run failed, for
+// the resilient driver's mission clock. The handle turns warm only
+// after a successful run.
+func (pr *Prepared) solve(rhs [][]float64, opts []core.Options, run func(fn func(p *comm.Proc)) (comm.RunStats, error)) (*BatchResult, comm.RunStats, error) {
 	if len(rhs) == 0 {
-		return nil, fmt.Errorf("hpfexec: empty batch")
+		return nil, comm.RunStats{}, fmt.Errorf("hpfexec: empty batch")
 	}
-	n := pr.A.NRows
 	for k, b := range rhs {
-		if len(b) != n {
-			return nil, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
+		if len(b) != pr.n {
+			return nil, comm.RunStats{}, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), pr.n)
 		}
 	}
 	if len(opts) != 1 && len(opts) != len(rhs) {
-		return nil, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
+		return nil, comm.RunStats{}, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
 	}
 	optFor := func(k int) core.Options {
 		if len(opts) == 1 {
@@ -251,12 +253,7 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 		return opts[k]
 	}
 
-	pc := pr.pc
 	np := pr.m.NP()
-	out := &BatchResult{
-		Results:        make([]*Result, len(rhs)),
-		SolveModelTime: make([]float64, len(rhs)),
-	}
 	// marks[r][0] is rank r's clock after setup; marks[r][k+1] after
 	// solve k. Each rank writes only its own row, so no locking.
 	marks := make([][]float64, np)
@@ -266,29 +263,31 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 	stats := make([]core.Stats, len(rhs))
 	xs := make([][]float64, len(rhs))
 	var solveErr error
-	var ghostChosen bool
 
 	warm := pr.warm
-	run, err := pr.m.RunChecked(func(p *comm.Proc) {
-		var op spmv.Operator
+	rs, err := run(func(p *comm.Proc) {
+		st := &pr.ranks[p.Rank()]
 		if warm {
-			// Warm start: reuse the rank's cached operator, rebound to
-			// this run's Proc. No partitioning, no inspector exchange,
-			// no executor-selection collective — modeled setup is zero.
-			op = pr.ops[p.Rank()]
-			if rb, ok := op.(spmv.Rebindable); ok {
-				rb.Rebind(p)
+			// Warm start: rebind the cached state to this run's Proc. No
+			// partitioning, no inspector exchange, no executor-selection
+			// collective — modeled setup is zero.
+			if st.rebind != nil {
+				st.rebind.Rebind(p)
 			}
 		} else {
-			var ghost bool
-			op, ghost = pc.operator(p)
-			pr.ops[p.Rank()] = op
-			if ghost && p.Rank() == 0 {
-				ghostChosen = true
+			built, err := pr.cold(p)
+			if err != nil {
+				// Deterministic in the handle's spec and np: every rank
+				// fails identically and control flow stays aligned.
+				if p.Rank() == 0 {
+					solveErr = err
+				}
+				return
 			}
+			*st = built
 		}
-		bv := darray.New(p, pc.d)
-		xv := darray.New(p, pc.d)
+		bv := darray.New(p, st.d)
+		xv := darray.New(p, st.d)
 		work := core.NewWorkspace()
 		marks[p.Rank()][0] = p.Clock()
 		for k := range rhs {
@@ -297,16 +296,7 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 			xv.Fill(0)
 			opt := optFor(k)
 			opt.Work = work
-			var st core.Stats
-			var err error
-			switch {
-			case pc.pipelined:
-				st, err = core.CGPipelined(p, op, bv, xv, opt, true)
-			case pc.sstep >= 2:
-				st, err = core.CGSStep(p, op, bv, xv, opt, pc.sstep)
-			default:
-				st, err = core.CG(p, op, bv, xv, opt)
-			}
+			sk, err := pr.solveOne(p, st, bv, xv, opt)
 			if err != nil {
 				if p.Rank() == 0 {
 					solveErr = fmt.Errorf("hpfexec: batch rhs %d: %w", k, err)
@@ -316,29 +306,24 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 			full := xv.Gather()
 			if p.Rank() == 0 {
 				xs[k] = full
-				stats[k] = st
+				stats[k] = sk
 			}
 			marks[p.Rank()][k+1] = p.Clock()
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, rs, err
 	}
 	if solveErr != nil {
-		return nil, solveErr
+		return nil, rs, solveErr
 	}
-
-	strategy := pr.strategy
 	if !warm {
-		strategy = pc.strategy
-		if pc.format == "csr" {
-			if ghostChosen {
-				strategy.Mode = "local(ghost)"
-			} else {
-				strategy.Mode = "local(broadcast)"
+		if pr.pc != nil && pr.pc.format == "csr" {
+			pr.strategy.Mode = "local(broadcast)"
+			if pr.ranks[0].ghost {
+				pr.strategy.Mode = "local(ghost)"
 			}
 		}
-		pr.strategy = strategy
 		pr.warm = true
 	}
 
@@ -352,16 +337,35 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 		}
 		return m
 	}
-	out.SetupModelTime = maxAt(0)
+	out := &BatchResult{
+		Results:        make([]*Result, len(rhs)),
+		Run:            rs,
+		SetupModelTime: maxAt(0),
+		SolveModelTime: make([]float64, len(rhs)),
+	}
 	prev := out.SetupModelTime
 	for k := range rhs {
 		end := maxAt(k + 1)
 		out.SolveModelTime[k] = end - prev
 		prev = end
+		out.Results[k] = &Result{X: xs[k], Stats: stats[k], Run: rs, Strategy: pr.strategy}
 	}
-	out.Run = run
-	for k := range rhs {
-		out.Results[k] = &Result{X: xs[k], Stats: stats[k], Run: run, Strategy: strategy}
+	return out, rs, nil
+}
+
+// solveOne runs the handle's solver on one right-hand side: PCG when
+// the rank state carries a preconditioner, otherwise the resilient,
+// pipelined, s-step (CGSStep at s=1 is CG) or plain recurrence.
+func (pr *Prepared) solveOne(p *comm.Proc, st *rankState, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
+	switch {
+	case st.M != nil:
+		return core.PCG(p, st.op, st.M, bv, xv, opt)
+	case pr.resilience != nil:
+		return core.CGResilient(p, st.op, bv, xv, opt, *pr.resilience)
+	case pr.strategy.Pipelined:
+		return core.CGPipelined(p, st.op, bv, xv, opt, true)
+	case pr.strategy.SStep >= 1:
+		return core.CGSStep(p, st.op, bv, xv, opt, pr.strategy.SStep)
 	}
-	return out, nil
+	return core.CG(p, st.op, bv, xv, opt)
 }

@@ -4,9 +4,59 @@ import (
 	"math"
 	"testing"
 
+	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
+	"hpfcg/internal/darray"
+	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
 )
+
+// soloReference is the independent solo solve the batch path is held
+// against: one SPMD run over fresh vectors, no workspace, plain
+// core.CG, with the executor built by the same plan analysis.
+func soloReference(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
+	pc, err := analyzeCG(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Strategy: pc.strategy}
+	var solveErr error
+	run, err := m.RunChecked(func(p *comm.Proc) {
+		op, _ := pc.operator(p)
+		bv := darray.New(p, pc.d)
+		xv := darray.New(p, pc.d)
+		bv.SetGlobal(func(g int) float64 { return b[g] })
+		st, err := core.CG(p, op, bv, xv, opt)
+		if err != nil {
+			if p.Rank() == 0 {
+				solveErr = err
+			}
+			return
+		}
+		full := xv.Gather()
+		if p.Rank() == 0 {
+			res.X = full
+			res.Stats = st
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if solveErr != nil {
+		return nil, solveErr
+	}
+	res.Run = run
+	return res, nil
+}
+
+// batchOn prepares a fresh plain-CG handle and solves rhs on it.
+func batchOn(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	return pr.SolveBatch(rhs, opts)
+}
 
 // TestPlanForLayoutMatchesSolo: every canonical layout binds to a plan
 // that solves, and the selected strategy matches the layout's intent.
@@ -25,7 +75,7 @@ func TestPlanForLayoutStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", layout, err)
 		}
-		res, err := SolveCG(machine(np), plan, A, b, core.Options{Tol: 1e-10})
+		res, err := solo(Prepare(machine(np), plan, A))(b, core.Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("%s: %v", layout, err)
 		}
@@ -46,8 +96,8 @@ func TestPlanForLayoutUnknown(t *testing.T) {
 
 // TestBatchBitIdenticalToSolo is the service's core numerical
 // guarantee: each right-hand side solved in a batch yields exactly the
-// bits a solo SolveCG with the same spec produces — across layouts,
-// including the balanced partitioner path.
+// bits an independent solo solve with the same spec produces — across
+// layouts, including the balanced partitioner path.
 func TestBatchBitIdenticalToSolo(t *testing.T) {
 	const np, n = 4, 128
 	A := sparse.Banded(n, 4)
@@ -63,12 +113,12 @@ func TestBatchBitIdenticalToSolo(t *testing.T) {
 			for k := range rhs {
 				rhs[k] = sparse.RandomVector(n, int64(100+k))
 			}
-			batch, err := SolveCGBatch(machine(np), plan, A, rhs, []core.Options{opt})
+			batch, err := batchOn(machine(np), plan, A, rhs, []core.Options{opt})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k, b := range rhs {
-				solo, err := SolveCG(machine(np), plan, A, b, opt)
+				solo, err := soloReference(machine(np), plan, A, b, opt)
 				if err != nil {
 					t.Fatalf("solo %d: %v", k, err)
 				}
@@ -100,7 +150,7 @@ func TestBatchAmortizesSetup(t *testing.T) {
 	for k := range rhs {
 		rhs[k] = sparse.RandomVector(n, int64(k+1))
 	}
-	batch, err := SolveCGBatch(machine(np), plan, A, rhs, []core.Options{{Tol: 1e-10}})
+	batch, err := batchOn(machine(np), plan, A, rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +168,7 @@ func TestBatchAmortizesSetup(t *testing.T) {
 		t.Fatalf("stage spans sum %v != makespan %v", sum, batch.Run.ModelTime)
 	}
 	// One solo run pays the same setup the whole batch paid once.
-	solo, err := SolveCGBatch(machine(np), plan, A, rhs[:1], []core.Options{{Tol: 1e-10}})
+	solo, err := batchOn(machine(np), plan, A, rhs[:1], []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +187,14 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine(np)
-	if _, err := SolveCGBatch(m, plan, A, nil, []core.Options{{}}); err == nil {
+	if _, err := batchOn(m, plan, A, nil, []core.Options{{}}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := SolveCGBatch(m, plan, A, [][]float64{make([]float64, 15)}, []core.Options{{}}); err == nil {
+	if _, err := batchOn(m, plan, A, [][]float64{make([]float64, 15)}, []core.Options{{}}); err == nil {
 		t.Error("short rhs accepted")
 	}
 	rhs := [][]float64{make([]float64, 16), make([]float64, 16)}
-	if _, err := SolveCGBatch(m, plan, A, rhs, make([]core.Options, 3)); err == nil {
+	if _, err := batchOn(m, plan, A, rhs, make([]core.Options, 3)); err == nil {
 		t.Error("mismatched option count accepted")
 	}
 	bad, err := PlanForLayout("csr", np+1, A.NRows, A.NNZ())

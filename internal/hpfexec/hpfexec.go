@@ -20,11 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
@@ -38,7 +36,7 @@ type Strategy struct {
 	Balanced bool   // partitioner-redistributed
 	// SStep is the communication-avoiding blocking factor the solves
 	// run with: 0 when the s-step path was not requested, 1 for plain
-	// CG through the s-step entry points, >= 2 for s-step blocks.
+	// CG through PrepareSStep, >= 2 for s-step blocks.
 	SStep int
 	// Pipelined marks the overlap-based solver (core.CGPipelined): one
 	// nonblocking allreduce per iteration, hidden behind the mat-vec.
@@ -66,39 +64,6 @@ type Result struct {
 	Stats    core.Stats
 	Run      comm.RunStats
 	Strategy Strategy
-}
-
-// SolveCG executes the CG of the paper's Figure 2 under the bound
-// plan. A is the runtime matrix (CSR form; converted as the declared
-// storage format requires), b the right-hand side. A processor killed
-// by the fault layer surfaces as a typed comm.PeerFailure error (no
-// deadlock); use SolveCGResilient to recover instead.
-func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
-	fn, finish, err := prepareCG(m, plan, A, b, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunChecked(fn)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// SolveCGTimeout is SolveCG under a deadlock watchdog: if the SPMD
-// solve does not finish within d (wall time), the run is aborted and
-// the machine's deadlock diagnostic is returned instead of hanging —
-// the safety net cmd/hpfrun's -timeout flag routes through.
-func SolveCGTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCG(m, plan, A, b, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
 }
 
 // ResilientOptions configures SolveCGResilient.
@@ -132,13 +97,16 @@ type ResilientResult struct {
 	LostIterations  int
 }
 
-// SolveCGResilient is SolveCG with checkpoint/rollback-restart: the
-// solve runs core.CGResilient over a shared in-memory checkpoint
-// store, and every comm.PeerFailure triggers a restart that resumes
-// from the newest complete checkpoint. When the machine's fault
-// injector carries a mission clock (an Advance(float64) method, as
-// fault.Injector does), it is advanced by each failed attempt's
-// modeled time so the remaining fault schedule stays aligned.
+// SolveCGResilient runs the CG of the paper's Figure 2 under the bound
+// plan with checkpoint/rollback-restart: the solve runs
+// core.CGResilient over a shared in-memory checkpoint store, and every
+// comm.PeerFailure triggers a restart that resumes from the newest
+// complete checkpoint. Each attempt is a one-RHS batch on one handle,
+// which stays cold until an attempt succeeds, so every attempt pays
+// the operator setup. When the machine's fault injector carries a
+// mission clock (an Advance(float64) method, as fault.Injector does),
+// it is advanced by each failed attempt's modeled time so the
+// remaining fault schedule stays aligned.
 func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
 	if ropt.Interval == 0 {
 		ropt.Interval = 10
@@ -146,15 +114,12 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 	if ropt.MaxRestarts == 0 {
 		ropt.MaxRestarts = 3
 	}
-	store := core.NewCheckpointStore(m.NP())
-	res := core.Resilience{Store: store, Interval: ropt.Interval, GuardTol: ropt.GuardTol}
-	fn, finish, err := prepareCG(m, plan, A, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGResilient(p, op, bv, xv, opt, res)
-		})
+	pr, err := Prepare(m, plan, A)
 	if err != nil {
 		return nil, err
 	}
+	store := core.NewCheckpointStore(m.NP())
+	pr.resilience = &core.Resilience{Store: store, Interval: ropt.Interval, GuardTol: ropt.GuardTol}
 	out := &ResilientResult{}
 	for {
 		out.Attempts++
@@ -164,13 +129,10 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 		if _, k := store.Latest(); k > 0 {
 			startIter = k
 		}
-		run, runErr := m.RunChecked(fn)
+		batch, run, runErr := pr.solve([][]float64{b}, []core.Options{opt}, m.RunChecked)
 		out.TotalModelTime += run.ModelTime
 		if runErr == nil {
-			r, err := finish(run)
-			if err != nil {
-				return nil, err
-			}
+			r := batch.Results[0]
 			out.Result = *r
 			out.TotalIterations += r.Stats.Iterations - r.Stats.StartIteration
 			out.LostIterations = out.TotalIterations - r.Stats.Iterations
@@ -193,15 +155,11 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 	}
 }
 
-// solveFn is the solver a prepared run executes per processor; nil
-// selects the plain core.CG.
-type solveFn func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error)
-
 // preparedCG is the RHS-independent analysis of a directive-driven CG
 // solve: the validated execution strategy, the vector distribution
 // (after any partitioner redistribution), and the converted matrix
-// forms. Both the solo prepareCG path and the batch path (batch.go)
-// run from it, so they cannot drift.
+// forms. Matrix handles (Prepare, PrepareSStep, PreparePipelined)
+// build each rank's executor from it.
 type preparedCG struct {
 	A        *sparse.CSR
 	csc      *sparse.CSC
@@ -210,11 +168,26 @@ type preparedCG struct {
 	d        dist.Contiguous
 	strategy Strategy
 	// sstep is the resolved s-step blocking factor (0 = the s-step
-	// path was not requested; set by PrepareSStep/SolveCGSStep).
+	// path was not requested; set by PrepareSStep); s >= 2 builds the
+	// matrix-powers executor.
 	sstep int
-	// pipelined selects core.CGPipelined for the solves (set by
-	// PreparePipelined/SolveCGPipelined; exclusive with sstep >= 2).
-	pipelined bool
+}
+
+// memoryBytes estimates the plan's resident size: the CSR arrays, the
+// CSC copy when the layout declared one, and a per-row overhead for
+// operator slices and ghost schedules.
+func (pc *preparedCG) memoryBytes() int64 {
+	const intB, floatB = 8, 8
+	A := pc.A
+	sz := int64(len(A.RowPtr)+len(A.Col))*intB + int64(len(A.Val))*floatB
+	if pc.csc != nil {
+		sz += int64(len(pc.csc.ColPtr)+len(pc.csc.Row))*intB + int64(len(pc.csc.Val))*floatB
+	}
+	// Operator-side copies (row remaps, ghost buffers) are at most
+	// another matrix-sized working set per machine.
+	sz *= 2
+	sz += int64(A.NRows) * 2 * floatB
+	return sz
 }
 
 // operator builds this rank's mat-vec operator inside the SPMD region.
@@ -330,72 +303,6 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*preparedCG, err
 	}
 
 	return &preparedCG{A: A, csc: csc, format: sm.Format, hasMerge: hasMerge, d: d, strategy: strategy}, nil
-}
-
-// prepareCG builds the SPMD body plus the post-run assembly for one
-// right-hand side, so the Solve variants share everything but the Run
-// call and the solver.
-func prepareCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, solve solveFn) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prepareCGFrom(m, pc, b, opt, solve)
-}
-
-// prepareCGFrom is prepareCG past the analysis step: it builds the
-// SPMD body and the finisher from an already-prepared plan, so the
-// s-step entry points can resolve the blocking factor in between.
-func prepareCGFrom(m *comm.Machine, pc *preparedCG, b []float64, opt core.Options, solve solveFn) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	if solve == nil {
-		solve = func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CG(p, op, bv, xv, opt)
-		}
-	}
-	A := pc.A
-	if len(b) != A.NRows {
-		return nil, nil, fmt.Errorf("hpfexec: rhs length %d != %d", len(b), A.NRows)
-	}
-
-	res := &Result{Strategy: pc.strategy}
-	var solveErr error
-	var ghostChosen bool
-	fn := func(p *comm.Proc) {
-		op, ghost := pc.operator(p)
-		if ghost && p.Rank() == 0 {
-			ghostChosen = true
-		}
-		bv := darray.New(p, pc.d)
-		xv := darray.New(p, pc.d)
-		bv.SetGlobal(func(g int) float64 { return b[g] })
-		st, err := solve(p, op, bv, xv)
-		if err != nil {
-			if p.Rank() == 0 {
-				solveErr = err
-			}
-			return
-		}
-		full := xv.Gather()
-		if p.Rank() == 0 {
-			res.X = full
-			res.Stats = st
-		}
-	}
-	finish := func(run comm.RunStats) (*Result, error) {
-		if solveErr != nil {
-			return nil, solveErr
-		}
-		if pc.format == "csr" {
-			if ghostChosen {
-				res.Strategy.Mode = "local(ghost)"
-			} else {
-				res.Strategy.Mode = "local(broadcast)"
-			}
-		}
-		res.Run = run
-		return res, nil
-	}
-	return fn, finish, nil
 }
 
 // vectorRoot finds the array plan that plays the role of p in

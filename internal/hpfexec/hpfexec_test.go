@@ -57,6 +57,21 @@ const balancedPlan = csrPlan + `
 !EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1
 `
 
+// solo returns a one-RHS solve on the handle a Prepare* call returned
+// (passing the constructor's error through).
+func solo(pr *Prepared, err error) func(b []float64, opt core.Options) (*Result, error) {
+	return func(b []float64, opt core.Options) (*Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
+		if err != nil {
+			return nil, err
+		}
+		return out.Results[0], nil
+	}
+}
+
 func relResidual(A *sparse.CSR, x, b []float64) float64 {
 	r := make([]float64, A.NRows)
 	A.MulVec(x, r)
@@ -75,7 +90,7 @@ func TestCSRPlanRunsScenario1(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 2)
 	np := 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	res, err := SolveCG(machine(np), plan, A, b, core.Options{Tol: 1e-10})
+	res, err := solo(Prepare(machine(np), plan, A))(b, core.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +115,7 @@ func TestCSCPlanModes(t *testing.T) {
 	np := 4
 
 	serialPlan := bindPlan(t, cscPlanSerial, 48, A.NNZ(), np)
-	serial, err := SolveCG(machine(np), serialPlan, A, b, core.Options{Tol: 1e-10})
+	serial, err := solo(Prepare(machine(np), serialPlan, A))(b, core.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +124,7 @@ func TestCSCPlanModes(t *testing.T) {
 	}
 
 	mergePlan := bindPlan(t, cscPlanMerge, 48, A.NNZ(), np)
-	merged, err := SolveCG(machine(np), mergePlan, A, b, core.Options{Tol: 1e-10})
+	merged, err := solo(Prepare(machine(np), mergePlan, A))(b, core.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +155,12 @@ func TestBalancedPlanRebalances(t *testing.T) {
 	np := 4
 
 	plain := bindPlan(t, csrPlan, 400, A.NNZ(), np)
-	p1, err := SolveCG(machine(np), plain, A, b, core.Options{Tol: 1e-8})
+	p1, err := solo(Prepare(machine(np), plain, A))(b, core.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bal := bindPlan(t, balancedPlan, 400, A.NNZ(), np)
-	p2, err := SolveCG(machine(np), bal, A, b, core.Options{Tol: 1e-8})
+	p2, err := solo(Prepare(machine(np), bal, A))(b, core.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +181,7 @@ func TestMatchesSequential(t *testing.T) {
 	b := sparse.RandomVector(40, 4)
 	np := 2
 	plan := bindPlan(t, csrPlan, 40, A.NNZ(), np)
-	res, err := SolveCG(machine(np), plan, A, b, core.Options{Tol: 1e-11})
+	res, err := solo(Prepare(machine(np), plan, A))(b, core.Options{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +203,7 @@ func TestSolveCGErrors(t *testing.T) {
 
 	// No SPARSE_MATRIX declaration.
 	noSM := bindPlan(t, `!HPF$ DISTRIBUTE p(BLOCK)`, 8, A.NNZ(), np)
-	if _, err := SolveCG(machine(np), noSM, A, b, core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np), noSM, A))(b, core.Options{}); err == nil {
 		t.Error("missing SPARSE_MATRIX accepted")
 	}
 	// Cyclic vector distribution.
@@ -196,21 +211,21 @@ func TestSolveCGErrors(t *testing.T) {
 !HPF$ DISTRIBUTE p(CYCLIC)
 !HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)
 `, 8, A.NNZ(), np)
-	if _, err := SolveCG(machine(np), cyc, A, b, core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np), cyc, A))(b, core.Options{}); err == nil {
 		t.Error("cyclic vector distribution accepted")
 	}
 	// Plan/machine NP mismatch.
 	plan := bindPlan(t, csrPlan, 8, A.NNZ(), np)
-	if _, err := SolveCG(machine(np+1), plan, A, b, core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np+1), plan, A))(b, core.Options{}); err == nil {
 		t.Error("NP mismatch accepted")
 	}
 	// Rectangular matrix and bad rhs.
 	rect := sparse.NewCOO(2, 3)
 	rect.Add(0, 0, 1)
-	if _, err := SolveCG(machine(np), plan, rect.ToCSR(), b[:2], core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np), plan, rect.ToCSR()))(b[:2], core.Options{}); err == nil {
 		t.Error("rectangular matrix accepted")
 	}
-	if _, err := SolveCG(machine(np), plan, A, b[:3], core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np), plan, A))(b[:3], core.Options{}); err == nil {
 		t.Error("short rhs accepted")
 	}
 	// No array of vector size.
@@ -219,33 +234,94 @@ func TestSolveCGErrors(t *testing.T) {
 !HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)
 `, 8, A.NNZ(), np)
 	delete(tiny.Arrays, "p") // ensure only col (nz-sized) remains
-	if _, err := SolveCG(machine(np), tiny, A, b, core.Options{}); err == nil {
+	if _, err := solo(Prepare(machine(np), tiny, A))(b, core.Options{}); err == nil {
 		t.Error("plan without vector arrays accepted")
 	}
 }
 
-// TestSolveCGTimeoutCompletes: a healthy solve under the watchdog
-// behaves exactly like SolveCG.
+// TestSolveCGTimeoutCompletes: on every handle kind, a healthy solve
+// under a generous watchdog behaves exactly like SolveBatch — same
+// bits, iterations and modeled times — and a watchdog that fires
+// returns the deadlock error and leaves the handle cold, so the next
+// SolveBatch is a correct cold solve paying a fresh handle's setup.
 func TestSolveCGTimeoutCompletes(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
-	b := sparse.RandomVector(A.NRows, 3)
-	np := 4
+	const np = 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	res, err := SolveCGTimeout(machine(np), plan, A, b, core.Options{Tol: 1e-10}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Converged {
-		t.Fatalf("not converged: %v", res.Stats)
-	}
-	if rr := relResidual(A, res.X, b); rr > 1e-8 {
-		t.Errorf("residual %g", rr)
-	}
-	plain, err := SolveCG(machine(np), plan, A, b, core.Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iterations != plain.Stats.Iterations {
-		t.Errorf("timeout path took %d iterations, plain path %d", res.Stats.Iterations, plain.Stats.Iterations)
+	opts := []core.Options{{Tol: 1e-10}}
+	for _, tc := range []struct {
+		name    string
+		A       *sparse.CSR // the assembled operator, for the residual check
+		prepare func() (*Prepared, error)
+	}{
+		{"csr", A, func() (*Prepared, error) { return Prepare(machine(np), plan, A) }},
+		{"sstep", A, func() (*Prepared, error) { return PrepareSStep(machine(np), plan, A, 4) }},
+		{"pipelined", A, func() (*Prepared, error) { return PreparePipelined(machine(np), plan, A) }},
+		{"stencil", nil, func() (*Prepared, error) { return PrepareStencil(machine(np), stencilSpec()) }},
+		{"mg", nil, func() (*Prepared, error) { return PrepareMG(machine(np), mgSpec()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func() *Prepared {
+				pr, err := tc.prepare()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pr
+			}
+			pr := fresh()
+			rhs := [][]float64{sparse.RandomVector(pr.N(), 3)}
+			ref, err := pr.SolveBatch(rhs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh().SolveBatchTimeout(rhs, opts, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Results[0].Stats.Converged {
+				t.Fatalf("not converged: %v", got.Results[0].Stats)
+			}
+			if tc.A != nil {
+				if rr := relResidual(tc.A, got.Results[0].X, rhs[0]); rr > 1e-8 {
+					t.Errorf("residual %g", rr)
+				}
+			}
+			if got.Results[0].Stats.Iterations != ref.Results[0].Stats.Iterations {
+				t.Errorf("timeout path took %d iterations, plain path %d",
+					got.Results[0].Stats.Iterations, ref.Results[0].Stats.Iterations)
+			}
+			for i := range ref.Results[0].X {
+				if got.Results[0].X[i] != ref.Results[0].X[i] {
+					t.Fatalf("x[%d] = %v under the watchdog, %v without", i, got.Results[0].X[i], ref.Results[0].X[i])
+				}
+			}
+			if got.SetupModelTime != ref.SetupModelTime || got.SolveModelTime[0] != ref.SolveModelTime[0] ||
+				got.Run.ModelTime != ref.Run.ModelTime {
+				t.Errorf("modeled times setup/solve/run %v/%v/%v under the watchdog, %v/%v/%v without",
+					got.SetupModelTime, got.SolveModelTime[0], got.Run.ModelTime,
+					ref.SetupModelTime, ref.SolveModelTime[0], ref.Run.ModelTime)
+			}
+
+			tripped := fresh()
+			if _, err := tripped.SolveBatchTimeout(rhs, opts, time.Nanosecond); err == nil ||
+				!strings.Contains(err.Error(), "deadlocked") {
+				t.Fatalf("1ns watchdog returned %v, want the deadlock error", err)
+			}
+			if tripped.Warm() {
+				t.Fatal("handle warm after a timed-out run")
+			}
+			after, err := tripped.SolveBatch(rhs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.SetupModelTime != ref.SetupModelTime {
+				t.Errorf("setup after a timed-out run %v, fresh handle %v", after.SetupModelTime, ref.SetupModelTime)
+			}
+			for i := range ref.Results[0].X {
+				if after.Results[0].X[i] != ref.Results[0].X[i] {
+					t.Fatalf("x[%d] = %v after a timed-out run, fresh handle %v", i, after.Results[0].X[i], ref.Results[0].X[i])
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func TestSolveHPCGConverges(t *testing.T) {
 		t.Fatalf("N = %d, want %d", n, want)
 	}
 	b := sparse.RandomVector(n, 42)
-	out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestHPCGWarmBatchZeroSetup(t *testing.T) {
 	b := sparse.RandomVector(pr.N(), 7)
 	opts := []core.Options{{Tol: 1e-10}}
 
-	cold, err := pr.SolveHPCGBatch([][]float64{b}, opts)
+	cold, err := pr.SolveBatch([][]float64{b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestHPCGWarmBatchZeroSetup(t *testing.T) {
 	if !pr.Warm() {
 		t.Fatal("handle not warm after first batch")
 	}
-	warm, err := pr.SolveHPCGBatch([][]float64{b}, opts)
+	warm, err := pr.SolveBatch([][]float64{b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestHPCGBatchMultiRHS(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparse.RandomVector(pr.N(), seed)
-		out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestHPCGBatchMultiRHS(t *testing.T) {
 		sparse.RandomVector(pr.N(), 2),
 		sparse.RandomVector(pr.N(), 3),
 	}
-	out, err := pr.SolveHPCGBatch(rhs, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch(rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestMGHandleMemoryBytes(t *testing.T) {
 	if pr.MemoryBytes() <= 0 {
 		t.Errorf("MemoryBytes = %d", pr.MemoryBytes())
 	}
-	if pr.MG() == nil {
-		t.Error("MG() nil on an MG handle")
+	if pr.MGLevels() == 0 {
+		t.Error("MGLevels() 0 on an MG handle")
 	}
 }
 

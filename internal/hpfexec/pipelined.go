@@ -14,11 +14,8 @@ package hpfexec
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/mfree"
@@ -111,11 +108,13 @@ func ChooseVariant(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) (string, [
 	}
 	entries, ghosts := spmv.PowersStats(A, d, np, 1)
 
-	plain := ModelSStep(m, A, d, 1)
+	// ChooseSStep's frontier prices plain CG (its s=1 row) and every
+	// s-step candidate; fused slots in after plain.
+	_, frontier := ChooseSStep(m, A, d)
 	models := []VariantModel{{
 		Name: "plain", S: 1,
-		TimePerIter:   plain.TimePerIter,
-		RoundsPerIter: plain.RoundsPerIter,
+		TimePerIter:   frontier[0].TimePerIter,
+		RoundsPerIter: frontier[0].RoundsPerIter,
 	}}
 	// CGFused: one four-word round per iteration, the same mat-vec, and
 	// 14·nloc vector flops (four dots batched into the round plus three
@@ -127,13 +126,9 @@ func ChooseVariant(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) (string, [
 			c.TFlop*(2*float64(entries)+14*float64(nloc)),
 		RoundsPerIter: 1,
 	})
-	for _, s := range SStepCandidates {
-		if s <= 1 {
-			continue
-		}
-		mod := ModelSStep(m, A, d, s)
+	for _, mod := range frontier[1:] {
 		models = append(models, VariantModel{
-			Name: fmt.Sprintf("sstep(s=%d)", s), S: s,
+			Name: fmt.Sprintf("sstep(s=%d)", mod.S), S: mod.S,
 			TimePerIter:   mod.TimePerIter,
 			RoundsPerIter: mod.RoundsPerIter,
 		})
@@ -170,9 +165,10 @@ func resolvePipelined(pc *preparedCG) error {
 }
 
 // PreparePipelined is Prepare with the overlap-based pipelined solver:
-// batch solves run core.CGPipelined with its nonblocking round hidden
-// behind the mat-vec. Warm registry hits rebind cached operators like
-// every other handle, so repeat traffic keeps SetupModelTime exactly 0.
+// batch solves run core.CGPipelined with one nonblocking allreduce per
+// iteration, hidden behind the mat-vec on the modeled clock. Warm
+// registry hits rebind cached operators like every other handle, so
+// repeat traffic keeps SetupModelTime exactly 0.
 func PreparePipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*Prepared, error) {
 	pc, err := analyzeCG(m, plan, A)
 	if err != nil {
@@ -181,15 +177,8 @@ func PreparePipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*Prepared
 	if err := resolvePipelined(pc); err != nil {
 		return nil, err
 	}
-	pc.pipelined = true
 	pc.strategy.Pipelined = true
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
-}
-
-// Pipelined reports whether the handle's solves run the overlap-based
-// pipelined solver.
-func (pr *Prepared) Pipelined() bool {
-	return (pr.pc != nil && pr.pc.pipelined) || pr.pipelined
+	return newMatrixPrepared(m, pc), nil
 }
 
 // PrepareStencilPipelined is PrepareStencil with the pipelined solver:
@@ -200,68 +189,6 @@ func PrepareStencilPipelined(m *comm.Machine, spec mfree.Spec) (*Prepared, error
 	if err != nil {
 		return nil, err
 	}
-	pr.pipelined = true
 	pr.strategy.Pipelined = true
 	return pr, nil
-}
-
-// SolveStencilPipelined prepares and solves one matrix-free stencil
-// system with the pipelined solver (cmd/hpfrun's -stencil -pipelined).
-func SolveStencilPipelined(m *comm.Machine, spec mfree.Spec, b []float64, opt core.Options) (*Result, error) {
-	pr, err := PrepareStencilPipelined(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{opt})
-	if err != nil {
-		return nil, err
-	}
-	return out.Results[0], nil
-}
-
-// SolveCGPipelined executes the directive-driven CG with the pipelined
-// overlap solver (core.CGPipelined): one nonblocking allreduce per
-// iteration, hidden behind the mat-vec on the modeled clock.
-func SolveCGPipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
-	fn, finish, err := prepareCGPipelined(m, plan, A, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunChecked(fn)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// SolveCGPipelinedTimeout is SolveCGPipelined under the same deadlock
-// watchdog as SolveCGTimeout.
-func SolveCGPipelinedTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCGPipelined(m, plan, A, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// prepareCGPipelined validates the pipelined request and builds the
-// SPMD body running core.CGPipelined.
-func prepareCGPipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := resolvePipelined(pc); err != nil {
-		return nil, nil, err
-	}
-	pc.pipelined = true
-	pc.strategy.Pipelined = true
-	return prepareCGFrom(m, pc, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGPipelined(p, op, bv, xv, opt, true)
-		})
 }

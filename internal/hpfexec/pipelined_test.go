@@ -14,8 +14,8 @@ import (
 	"hpfcg/internal/topology"
 )
 
-// TestSolveCGPipelinedConverges: the directive-driven pipelined entry
-// point converges on the row-block CSR scenario and on the
+// TestSolveCGPipelinedConverges: the directive-driven pipelined handle
+// converges on the row-block CSR scenario and on the
 // partitioner-balanced layout, reports the pipelined strategy, and —
 // on a clean solve — pays exactly one allreduce round per iteration
 // plus the setup/detection/confirmation rounds.
@@ -28,7 +28,7 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SolveCGPipelined(machine(np), plan, A, b, core.Options{Tol: 1e-10})
+		res, err := solo(PreparePipelined(machine(np), plan, A))(b, core.Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestPipelinedRejectsIncompatiblePlans(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := SolveCGPipelined(machine(np), plan, A, b, core.Options{}); err == nil {
+	if _, err := solo(PreparePipelined(machine(np), plan, A))(b, core.Options{}); err == nil {
 		t.Fatal("pipelined CG on a CSC plan did not error")
 	}
 	if _, err := PreparePipelined(machine(np), plan, A); err == nil {
@@ -90,7 +90,7 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Pipelined() {
+	if !pr.Strategy().Pipelined {
 		t.Fatal("prepared handle does not report pipelined")
 	}
 	reg := NewRegistry(0)
@@ -217,11 +217,11 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pr.Pipelined() || !pr.strategy.Pipelined {
+		if !pr.Strategy().Pipelined || !pr.strategy.Pipelined {
 			t.Fatal("stencil handle does not report pipelined")
 		}
 		b := sparse.RandomVector(pr.N(), 5)
-		out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}

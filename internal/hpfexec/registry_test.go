@@ -166,7 +166,7 @@ func TestRegistryConcurrentSameKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := SolveCG(comm.NewMachine(2, topology.Hypercube{}, topology.DefaultCostParams()), plan, A, b, core.Options{})
+	ref, err := solo(Prepare(comm.NewMachine(2, topology.Hypercube{}, topology.DefaultCostParams()), plan, A))(b, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

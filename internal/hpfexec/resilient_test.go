@@ -12,7 +12,7 @@ import (
 
 // TestSolveCGResilientSurvivesCrash drives the full product path: an
 // hpf plan, a deterministic fault plan that kills one rank mid-solve,
-// SolveCG surfacing the typed failure, and SolveCGResilient absorbing
+// a plain SolveBatch surfacing the typed failure, and SolveCGResilient absorbing
 // it via checkpoint/restart with a solution bit-identical to the
 // fault-free solve.
 func TestSolveCGResilientSurvivesCrash(t *testing.T) {
@@ -23,7 +23,7 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 	opt := core.Options{Tol: 1e-10}
 
 	// Fault-free reference.
-	ref, err := SolveCG(machine(np), plan, A, b, opt)
+	ref, err := solo(Prepare(machine(np), plan, A))(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 		}
 		m := machine(np)
 		m.AttachInjector(inj)
-		_, err = SolveCG(m, plan, A, b, opt)
+		_, err = solo(Prepare(m, plan, A))(b, opt)
 		var pf comm.PeerFailure
 		if !errors.As(err, &pf) {
-			t.Fatalf("SolveCG under crash: err = %v, want comm.PeerFailure", err)
+			t.Fatalf("SolveBatch under crash: err = %v, want comm.PeerFailure", err)
 		}
 		if pf.Rank != 2 {
 			t.Errorf("blamed rank %d, want 2", pf.Rank)
@@ -93,7 +93,7 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 }
 
 // TestSolveCGResilientHealthy: with no injector the resilient driver is
-// one attempt with zero losses, matching SolveCG bit-for-bit.
+// one attempt with zero losses, matching a plain solve bit-for-bit.
 func TestSolveCGResilientHealthy(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
 	b := sparse.RandomVector(A.NRows, 3)
@@ -101,7 +101,7 @@ func TestSolveCGResilientHealthy(t *testing.T) {
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
 	opt := core.Options{Tol: 1e-10}
 
-	ref, err := SolveCG(machine(np), plan, A, b, opt)
+	ref, err := solo(Prepare(machine(np), plan, A))(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
 	opt := core.Options{Tol: 1e-10}
 
-	ref, err := SolveCG(machine(np), plan, A, b, opt)
+	ref, err := solo(Prepare(machine(np), plan, A))(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

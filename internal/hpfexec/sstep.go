@@ -1,6 +1,6 @@
 // The s-step execution path: cost-model-driven selection of the
-// communication-avoiding blocking factor, and the entry points that
-// run core.CGSStep under a directive plan.
+// communication-avoiding blocking factor, and the handle that runs
+// core.CGSStep under a directive plan.
 //
 // The model prices one CG iteration at blocking factor s with the
 // paper's §4 machine constants (topology.CostParams): plain CG pays
@@ -15,11 +15,8 @@ package hpfexec
 
 import (
 	"fmt"
-	"time"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
@@ -142,9 +139,11 @@ func resolveSStep(m *comm.Machine, pc *preparedCG, s int) (int, error) {
 	return s, nil
 }
 
-// PrepareSStep is Prepare with an s-step blocking factor: s = 0 lets
-// the cost model choose per the machine's topology constants, s = 1
-// forces plain CG, s >= 2 fixes the factor. The widened matrix-powers
+// PrepareSStep is Prepare with an s-step blocking factor for the
+// communication-avoiding solver (core.CGSStep): s = 0 lets the cost
+// model choose per the machine's topology constants, s = 1 runs plain
+// CG, s >= 2 fixes the factor and runs s iterations per allreduce
+// round with the stability guard armed. The widened matrix-powers
 // inspector schedule is built on the first batch run and cached in the
 // handle like every other operator, so registry hits skip the s-level
 // closure inspection too.
@@ -158,57 +157,5 @@ func PrepareSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, s int) (*Prepa
 	}
 	pc.sstep = s
 	pc.strategy.SStep = s
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
-}
-
-// SStep returns the blocking factor the handle's solves run with
-// (1 = plain CG; 0 on handles made by plain Prepare).
-func (pr *Prepared) SStep() int { return pr.pc.sstep }
-
-// SolveCGSStep executes the directive-driven CG with the s-step
-// communication-avoiding solver (core.CGSStep): s = 0 auto-selects
-// from the cost model, s = 1 is bit-identical to SolveCG, s >= 2 runs
-// s iterations per allreduce round with the stability guard armed.
-func SolveCGSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int) (*Result, error) {
-	fn, finish, err := prepareCGSStep(m, plan, A, b, opt, s)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunChecked(fn)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// SolveCGSStepTimeout is SolveCGSStep under the same deadlock watchdog
-// as SolveCGTimeout.
-func SolveCGSStepTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCGSStep(m, plan, A, b, opt, s)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// prepareCGSStep resolves the blocking factor and builds the SPMD body
-// running core.CGSStep under it.
-func prepareCGSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s, err = resolveSStep(m, pc, s); err != nil {
-		return nil, nil, err
-	}
-	pc.sstep = s
-	pc.strategy.SStep = s
-	return prepareCGFrom(m, pc, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGSStep(p, op, bv, xv, opt, pc.sstep)
-		})
+	return newMatrixPrepared(m, pc), nil
 }

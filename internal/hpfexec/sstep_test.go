@@ -10,7 +10,7 @@ import (
 	"hpfcg/internal/sparse"
 )
 
-// The s-step entry point at s=1 must be SolveCG in every bit: same
+// The s-step handle at s=1 must be the plain handle in every bit: same
 // solver (CGSStep delegates to CG), same operator, same plan analysis.
 func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
@@ -18,11 +18,11 @@ func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	np := 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
 	opt := core.Options{Tol: 1e-10}
-	ref, err := SolveCG(machine(np), plan, A, b, opt)
+	ref, err := solo(Prepare(machine(np), plan, A))(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveCGSStep(machine(np), plan, A, b, opt, 1)
+	got, err := solo(PrepareSStep(machine(np), plan, A, 1))(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		const s = 4
-		res, err := SolveCGSStep(machine(np), plan, A, b, core.Options{Tol: 1e-10}, s)
+		res, err := solo(PrepareSStep(machine(np), plan, A, s))(b, core.Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,17 +86,17 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := SolveCGSStep(machine(np), plan, A, b, core.Options{}, 4); err == nil {
+	if _, err := solo(PrepareSStep(machine(np), plan, A, 4))(b, core.Options{}); err == nil {
 		t.Fatal("fixed s=4 on a CSC plan did not error")
 	}
-	res, err := SolveCGSStep(machine(np), plan, A, b, core.Options{Tol: 1e-10}, 0)
+	res, err := solo(PrepareSStep(machine(np), plan, A, 0))(b, core.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy.SStep != 1 || res.Stats.SStep != 1 {
 		t.Fatalf("auto on CSC resolved to s=%d, want 1", res.Strategy.SStep)
 	}
-	if _, err := SolveCGSStep(machine(np), plan, A, b, core.Options{}, MaxSStep+1); err == nil {
+	if _, err := solo(PrepareSStep(machine(np), plan, A, MaxSStep+1))(b, core.Options{}); err == nil {
 		t.Fatal("out-of-range s did not error")
 	}
 }
@@ -175,8 +175,8 @@ func TestRegistryWarmSStepHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.SStep() != s {
-		t.Fatalf("prepared handle reports s=%d, want %d", pr.SStep(), s)
+	if pr.Strategy().SStep != s {
+		t.Fatalf("prepared handle reports s=%d, want %d", pr.Strategy().SStep, s)
 	}
 	reg := NewRegistry(0)
 	if _, ok := reg.Put("sstep-plan", pr); !ok {

@@ -25,7 +25,7 @@ func TestSolveStencilConverges(t *testing.T) {
 		t.Fatalf("N = %d, want 60", pr.N())
 	}
 	b := sparse.RandomVector(pr.N(), 42)
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStencilSetupZeroColdAndWarm(t *testing.T) {
 	b := sparse.RandomVector(pr.N(), 7)
 	opts := []core.Options{{Tol: 1e-10}}
 
-	cold, err := pr.SolveStencilBatch([][]float64{b}, opts)
+	cold, err := pr.SolveBatch([][]float64{b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestStencilSetupZeroColdAndWarm(t *testing.T) {
 	if !pr.Warm() {
 		t.Fatal("handle not warm after first batch")
 	}
-	warm, err := pr.SolveStencilBatch([][]float64{b}, opts)
+	warm, err := pr.SolveBatch([][]float64{b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestStencilBitIdenticalToAssembledCG(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := sparse.RandomVector(pr.N(), 5)
-			out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+			out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestStencilBatchMultiRHS(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparse.RandomVector(pr.N(), seed)
-		out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestStencilBatchMultiRHS(t *testing.T) {
 		sparse.RandomVector(pr.N(), 2),
 		sparse.RandomVector(pr.N(), 3),
 	}
-	out, err := pr.SolveStencilBatch(rhs, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch(rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}

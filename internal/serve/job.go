@@ -116,7 +116,7 @@ type JobSpec struct {
 	// MaxRestarts bounds restart attempts (with Resilient).
 	MaxRestarts int `json:"max_restarts,omitempty"`
 	// TimeoutMS aborts a deadlocked solve after this much wall time
-	// (hpfexec.SolveCGTimeout).
+	// (hpfexec.Prepared.SolveBatchTimeout).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Trace captures a Perfetto/Chrome trace of the solve, downloadable
 	// from /jobs/{id}/trace.

@@ -13,7 +13,7 @@ import (
 )
 
 // A pipelined job must answer bit-identically to the direct
-// hpfexec.SolveCGPipelined, report the pipelined strategy, and count
+// pipelined hpfexec handle, report the pipelined strategy, and count
 // one (hidden) allreduce round per iteration plus the bookkeeping
 // rounds — the number the JSON surfaces as "reductions".
 func TestPipelinedJobBitIdenticalToDirect(t *testing.T) {
@@ -54,10 +54,15 @@ func TestPipelinedJobBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want, err := hpfexec.SolveCGPipelined(m, plan, A, b, core.Options{})
+	pr, err := hpfexec.PreparePipelined(m, plan, A)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := out.Results[0]
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] = %v, direct %v", i, v.Result.X[i], want.X[i])

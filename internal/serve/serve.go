@@ -1,19 +1,20 @@
 // Package serve turns the one-shot solver stack into a service: a
-// bounded admission queue with backpressure, a worker pool where each
-// worker owns its SPMD machines, and a scheduler whose headline
-// optimisation is same-matrix batching — jobs against an identical
-// matrix/layout/np/topology key coalesce into one SPMD run, so the
-// matrix is assembled, partitioned and inspector-exchanged once and
-// the batch of right-hand sides is solved back-to-back from a pooled
-// workspace (hpfexec.SolveCGBatch). This is the paper's §2 shape (one
+// bounded admission queue with backpressure, a worker pool, and a
+// scheduler whose headline optimisation is same-matrix batching — jobs
+// against an identical matrix/layout/np/topology key coalesce into one
+// SPMD run, so the matrix is assembled, partitioned and
+// inspector-exchanged once and the batch of right-hand sides is solved
+// back-to-back from a pooled workspace (hpfexec.Prepared.SolveBatch).
+// A content-addressed plan registry carries the prepared handle across
+// batch windows. This is the paper's §2 shape (one
 // partitioned/inspected matrix, many solves) run as a request loop.
 //
 // Lifecycle is production-grade: per-job wall timeouts route through
-// hpfexec.SolveCGTimeout, fault-injected jobs can run resilient via
-// hpfexec.SolveCGResilient, Drain stops admission, rejects what is
-// still queued and lets in-flight batches finish, and Metrics renders
-// live Prometheus text (queue depth, in-flight, stage latency
-// histograms, batch occupancy, modeled machine-time totals).
+// hpfexec.Prepared.SolveBatchTimeout, fault-injected jobs can run
+// resilient via hpfexec.SolveCGResilient, Drain stops admission,
+// rejects what is still queued and lets in-flight batches finish, and
+// Metrics renders live Prometheus text (queue depth, in-flight, stage
+// latency histograms, batch occupancy, modeled machine-time totals).
 package serve
 
 import (
@@ -277,12 +278,11 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// worker is one pool member. It owns its SPMD machines (cached per
-// np/topology shape) so runs from different workers never share comm
-// state; fault- or trace-attached jobs get a dedicated machine.
+// worker is one pool member. Every dispatch runs on a machine of its
+// own — the cached plan's, or one built for the dispatch — so runs
+// from different workers never share comm state.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	machines := map[string]*comm.Machine{}
 	for {
 		batch := s.nextBatch()
 		if batch == nil {
@@ -291,7 +291,7 @@ func (s *Scheduler) worker() {
 		if s.opts.BatchStarted != nil {
 			s.opts.BatchStarted(batch)
 		}
-		s.runBatch(machines, batch)
+		s.runBatch(batch)
 	}
 }
 
@@ -341,274 +341,99 @@ func (s *Scheduler) nextBatch() []*Job {
 	return batch
 }
 
-// machineKey caches per-worker machines by shape.
-func machineKey(np int, topo string) string { return fmt.Sprintf("%d/%s", np, topo) }
+// newMachine builds a fresh machine of the job's shape.
+func newMachine(spec JobSpec) (*comm.Machine, error) {
+	topo, err := topology.ByName(spec.Topology)
+	if err != nil {
+		return nil, err
+	}
+	return comm.NewMachine(spec.NP, topo, topology.DefaultCostParams()), nil
+}
 
-// prepareCGHandle builds the assembled-matrix Prepared for the job's
-// solver choice: the pipelined overlap handle when requested, the
-// s-step/plain handle (cost model resolves sstep=0) otherwise.
-// Validation guarantees the two knobs never both fire.
-func prepareCGHandle(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, spec JobSpec) (*hpfexec.Prepared, error) {
+// planFor assembles the job's matrix when A is nil (a generator spec,
+// or a cache miss) and binds the layout's directive program to it.
+func planFor(spec JobSpec, A *sparse.CSR) (*hpf.Plan, *sparse.CSR, error) {
+	if A == nil {
+		var err error
+		if A, err = spec.buildMatrix(); err != nil {
+			return nil, nil, fmt.Errorf("matrix: %w", err)
+		}
+	}
+	if A.NRows != A.NCols {
+		return nil, nil, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols)
+	}
+	plan, err := hpfexec.PlanForLayout(spec.Layout, spec.NP, A.NRows, A.NNZ())
+	return plan, A, err
+}
+
+// prepareHandle is the one place a JobSpec maps to a Prepared
+// constructor: the multigrid hierarchy for hpcg jobs, the matrix-free
+// operator for stencil jobs, and for cg jobs the pipelined overlap
+// handle or the s-step/plain one (the cost model resolves sstep=0).
+// Validation guarantees pipelined and s-step blocking never both fire.
+// A may carry the already-parsed matrix of a cg job.
+func prepareHandle(m *comm.Machine, spec JobSpec, A *sparse.CSR) (*hpfexec.Prepared, error) {
+	switch {
+	case spec.Method == "hpcg":
+		return hpfexec.PrepareMG(m, spec.MG.spec())
+	case spec.Method == "stencil" && spec.Pipelined:
+		return hpfexec.PrepareStencilPipelined(m, spec.Stencil.spec())
+	case spec.Method == "stencil":
+		return hpfexec.PrepareStencil(m, spec.Stencil.spec())
+	}
+	plan, A, err := planFor(spec, A)
+	if err != nil {
+		return nil, err
+	}
 	if spec.Pipelined {
 		return hpfexec.PreparePipelined(m, plan, A)
 	}
 	return hpfexec.PrepareSStep(m, plan, A, spec.SStep)
 }
 
-// prepareStencilHandle builds the matrix-free Prepared for the job's
-// solver choice.
-func prepareStencilHandle(m *comm.Machine, spec JobSpec) (*hpfexec.Prepared, error) {
-	if spec.Pipelined {
-		return hpfexec.PrepareStencilPipelined(m, spec.Stencil.spec())
-	}
-	return hpfexec.PrepareStencil(m, spec.Stencil.spec())
-}
-
-// runBatch executes one dispatch: either the coalesced multi-RHS
-// batch solve — through the Prepared-plan registry when enabled, so a
-// hot matrix skips partitioning and the inspector exchange — or the
-// job's solo special path (fault injection, tracing, timeout,
-// resilient mode).
-func (s *Scheduler) runBatch(machines map[string]*comm.Machine, batch []*Job) {
+// runBatch executes one dispatch. Jobs that need a machine of their
+// own (fault injection, tracing, timeout, resilient mode) go to
+// runSolo. Every other dispatch is one coalesced multi-RHS batch
+// solve: look the plan up by content hash, prepare it on a miss and
+// cache it, then solve the batch from the handle — a warm hit skips
+// partitioning and the inspector exchange, with zero modeled setup and
+// answers bit-identical to the cold path. With the registry disabled
+// every dispatch prepares afresh.
+func (s *Scheduler) runBatch(batch []*Job) {
 	spec := batch[0].Spec
-
-	if spec.batchable() && s.reg != nil {
-		s.runBatchRegistry(batch)
-		return
-	}
-
-	if spec.Method == "hpcg" {
-		// Registry disabled: prepare the stencil problem per dispatch
-		// on the worker's cached machine.
-		s.runBatchHPCG(machines, batch)
-		return
-	}
-
-	if spec.Method == "stencil" {
-		s.runBatchStencil(machines, batch)
-		return
-	}
-
-	A, err := spec.buildMatrix()
-	if err != nil {
-		s.failAll(batch, fmt.Errorf("matrix: %w", err))
-		return
-	}
-	if A.NRows != A.NCols {
-		s.failAll(batch, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols))
-		return
-	}
-	n := A.NRows
-	plan, err := hpfexec.PlanForLayout(spec.Layout, spec.NP, n, A.NNZ())
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-
-	live, rhs, opts := s.resolveRHS(batch, n)
-	if len(live) == 0 {
-		return
-	}
-
 	if !spec.batchable() {
-		// Solo path; nextBatch never coalesces these.
-		s.runSolo(live[0], plan, A, rhs[0], opts[0])
+		// nextBatch never coalesces these.
+		s.runSolo(batch[0])
 		return
 	}
-
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := prepareCGHandle(m, plan, A, spec)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	out, err := pr.SolveBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, false, 0)
-}
-
-// runBatchHPCG is the registry-less hpcg path: prepare the stencil
-// problem on the worker's cached machine and solve the coalesced
-// right-hand sides in one SPMD run.
-func (s *Scheduler) runBatchHPCG(machines map[string]*comm.Machine, batch []*Job) {
-	spec := batch[0].Spec
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := hpfexec.PrepareMG(m, spec.MG.spec())
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	live, rhs, opts := s.resolveRHS(batch, pr.N())
-	if len(live) == 0 {
-		return
-	}
-	out, err := pr.SolveHPCGBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, false, pr.MGLevels())
-}
-
-// runBatchStencil is the registry-less stencil path: build the
-// matrix-free handle on the worker's cached machine — no assembly, no
-// inspector, zero modeled setup even on this cold path — and solve the
-// coalesced right-hand sides in one SPMD run.
-func (s *Scheduler) runBatchStencil(machines map[string]*comm.Machine, batch []*Job) {
-	spec := batch[0].Spec
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := prepareStencilHandle(m, spec)
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	live, rhs, opts := s.resolveRHS(batch, pr.N())
-	if len(live) == 0 {
-		return
-	}
-	out, err := pr.SolveStencilBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, false, 0)
-}
-
-// resolveRHS materializes each job's right-hand side; length
-// mismatches fail only that job.
-func (s *Scheduler) resolveRHS(batch []*Job, n int) (live []*Job, rhs [][]float64, opts []core.Options) {
-	live = batch[:0:len(batch)]
-	rhs = make([][]float64, 0, len(batch))
-	opts = make([]core.Options, 0, len(batch))
-	for _, j := range batch {
-		b := j.Spec.RHS
-		if len(b) == 0 {
-			b = sparse.RandomVector(n, j.Spec.Seed)
-		} else if len(b) != n {
-			s.finishJob(j, nil, fmt.Errorf("rhs length %d != n=%d", len(b), n))
-			continue
-		}
-		live = append(live, j)
-		rhs = append(rhs, b)
-		opts = append(opts, core.Options{Tol: j.Spec.Tol, MaxIter: j.Spec.MaxIter})
-	}
-	return live, rhs, opts
-}
-
-// runBatchRegistry is the content-addressed batch path: look the
-// matrix up by content hash, prepare (and cache) the plan on a miss,
-// then solve the batch from the cached Prepared handle under its entry
-// lock. A warm hit runs with zero modeled setup and answers
-// bit-identical to the cold path (hpfexec.TestWarmBatchBitIdentical).
-func (s *Scheduler) runBatchRegistry(batch []*Job) {
-	spec := batch[0].Spec
 
 	hash, A, err := spec.contentHashMatrix()
 	if err != nil {
 		s.failAll(batch, err)
 		return
 	}
-	entry, hit := s.reg.Get(spec.planKey(hash))
+	key := spec.planKey(hash)
+	var entry *hpfexec.Entry
+	hit := false
+	if s.reg != nil {
+		entry, hit = s.reg.Get(key)
+	}
 	var pr *hpfexec.Prepared
-	switch {
-	case hit:
-	case spec.Method == "hpcg":
-		// Stencil jobs carry no matrix: prepare the multigrid hierarchy
-		// on a plan-owned machine and cache the handle like any other
-		// plan. A warm hit rebinds the hierarchy — zero modeled setup.
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = hpfexec.PrepareMG(m, spec.MG.spec()); err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
-	case spec.Method == "stencil":
-		// Matrix-free jobs carry no matrix either: the handle holds only
-		// the spec and per-rank geometric schedules, so caching it buys
-		// machine reuse and bit-stable warm answers — there is no setup
-		// cost to amortize (cold and warm modeled setup are both zero).
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = prepareStencilHandle(m, spec); err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
-	default:
-		if A == nil {
-			if A, err = spec.buildMatrix(); err != nil {
-				s.failAll(batch, fmt.Errorf("matrix: %w", err))
-				return
-			}
-		}
-		if A.NRows != A.NCols {
-			s.failAll(batch, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols))
-			return
-		}
-		plan, err := hpfexec.PlanForLayout(spec.Layout, spec.NP, A.NRows, A.NNZ())
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
+	if !hit {
 		// The plan owns a machine of its own: cached plans outlive any
-		// single worker, and the entry lock serializes runs on it. The
-		// s-step factor resolves here (cost model on 0), so the cached
-		// plan carries the widened powers schedule it implies; a
-		// pipelined request caches the overlap-solver handle instead
-		// (planKey keeps the two apart).
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = prepareCGHandle(m, plan, A, spec); err != nil {
+		// single worker, and the entry lock serializes runs on it.
+		m, err := newMachine(spec)
+		if err != nil {
 			s.failAll(batch, err)
 			return
 		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
+		if pr, err = prepareHandle(m, spec, A); err != nil {
+			s.failAll(batch, err)
+			return
+		}
+		if s.reg != nil {
+			entry, _ = s.reg.Put(key, pr)
+		}
 	}
 	if entry != nil {
 		// Cached (or freshly cached): solve under the entry lock so
@@ -630,6 +455,27 @@ func (s *Scheduler) runBatchRegistry(batch []*Job) {
 		return
 	}
 	s.finishBatch(live, out, warm, pr.MGLevels())
+}
+
+// resolveRHS materializes each job's right-hand side; length
+// mismatches fail only that job.
+func (s *Scheduler) resolveRHS(batch []*Job, n int) (live []*Job, rhs [][]float64, opts []core.Options) {
+	live = batch[:0:len(batch)]
+	rhs = make([][]float64, 0, len(batch))
+	opts = make([]core.Options, 0, len(batch))
+	for _, j := range batch {
+		b := j.Spec.RHS
+		if len(b) == 0 {
+			b = sparse.RandomVector(n, j.Spec.Seed)
+		} else if len(b) != n {
+			s.finishJob(j, nil, fmt.Errorf("rhs length %d != n=%d", len(b), n))
+			continue
+		}
+		live = append(live, j)
+		rhs = append(rhs, b)
+		opts = append(opts, core.Options{Tol: j.Spec.Tol, MaxIter: j.Spec.MaxIter})
+	}
+	return live, rhs, opts
 }
 
 // finishBatch records model-time metrics and finishes every job of a
@@ -673,8 +519,11 @@ func (s *Scheduler) failAll(batch []*Job, err error) {
 }
 
 // finishJob moves a job to its terminal state and updates metrics.
+// The metrics are recorded before done closes, so a client that sees
+// the job finished also sees it counted.
 func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	now := time.Now()
+	s.met.finish(j.Spec.jobType(), err == nil, now.Sub(j.started).Seconds())
 	s.mu.Lock()
 	j.finished = now
 	if err != nil {
@@ -688,5 +537,4 @@ func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	s.met.setGauges(len(s.queue), s.inflight)
 	close(j.done)
 	s.mu.Unlock()
-	s.met.finish(j.Spec.jobType(), err == nil, now.Sub(j.started).Seconds())
 }

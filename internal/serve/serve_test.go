@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -48,20 +49,24 @@ func directSolve(t *testing.T, spec JobSpec) *hpfexec.Result {
 		t.Fatal(err)
 	}
 	m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-	res, err := hpfexec.SolveCG(m, plan, A, b, core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter})
+	pr, err := hpfexec.Prepare(m, plan, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: spec.Tol, MaxIter: spec.MaxIter}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Results[0]
 }
 
 // TestJobBitIdenticalToDirect is the acceptance check: a job through
-// the scheduler returns exactly the bits hpfexec.SolveCG produces for
-// the same spec and seed.
+// the scheduler returns exactly the bits a plain hpfexec handle
+// produces for the same spec and seed.
 func TestJobBitIdenticalToDirect(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Drain(testCtx(t))
-	// SStep pinned to 1: the reference is the plain-CG SolveCG, and the
+	// SStep pinned to 1: the reference is the plain-CG handle, and the
 	// service default (0) would auto-select an s-step factor.
 	spec := JobSpec{Matrix: "banded:128:4", NP: 4, Seed: 11, SStep: 1}
 	j, err := s.Submit(spec)
@@ -236,6 +241,49 @@ func TestSoloTraceJob(t *testing.T) {
 	tr, ok := s.TraceJSON(j.ID)
 	if !ok || !bytes.Contains(tr, []byte("traceEvents")) {
 		t.Fatalf("trace JSON missing or malformed (%d bytes)", len(tr))
+	}
+}
+
+// TestSoloTraceJobSetupSplit: a traced job runs solo yet reports the
+// same setup/solve split as a cold batch of one — setup > 0, setup +
+// solve = model time — and its solve span equals, bit for bit, the
+// untraced cold reply for the same spec (the tracer never moves the
+// modeled clock).
+func TestSoloTraceJobSetupSplit(t *testing.T) {
+	run := func(spec JobSpec) *JobResult {
+		s := New(Options{Workers: 1})
+		defer s.Drain(testCtx(t))
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Wait(testCtx(t), j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateDone {
+			t.Fatalf("state %s (%s)", v.State, v.Error)
+		}
+		return v.Result
+	}
+	for _, spec := range []JobSpec{
+		{Matrix: "banded:256:4", NP: 4, Seed: 11},
+		{Matrix: "banded:256:4", NP: 4, Seed: 11, Pipelined: true},
+	} {
+		cold := run(spec)
+		spec.Trace = true
+		traced := run(spec)
+		if traced.SetupModelTime <= 0 {
+			t.Errorf("pipelined=%v: traced setup_model_time %v, want > 0", spec.Pipelined, traced.SetupModelTime)
+		}
+		if sum := traced.SetupModelTime + traced.SolveModelTime; math.Abs(sum-traced.ModelTime) > 1e-12*traced.ModelTime {
+			t.Errorf("pipelined=%v: setup %v + solve %v = %v, model_time %v",
+				spec.Pipelined, traced.SetupModelTime, traced.SolveModelTime, sum, traced.ModelTime)
+		}
+		if traced.SolveModelTime != cold.SolveModelTime {
+			t.Errorf("pipelined=%v: traced solve_model_time %v, untraced cold %v",
+				spec.Pipelined, traced.SolveModelTime, cold.SolveModelTime)
+		}
 	}
 }
 

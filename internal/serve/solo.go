@@ -1,40 +1,39 @@
 // The solo execution path: jobs that need their own machine — fault
 // injection, trace capture, wall-clock timeouts, resilient mode — run
 // one at a time on a machine built for the job, so injectors and
-// tracers never leak into the worker's pooled machines.
+// tracers never leak into cached plans' machines.
 package serve
 
 import (
 	"bytes"
 	"time"
 
-	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
 	"hpfcg/internal/fault"
-	"hpfcg/internal/hpf"
 	"hpfcg/internal/hpfexec"
-	"hpfcg/internal/sparse"
-	"hpfcg/internal/topology"
 	"hpfcg/internal/trace"
 )
 
-func (s *Scheduler) runSolo(j *Job, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) {
+// runSolo solves one job on a dedicated machine with the job's fault
+// injector and tracer attached. Non-resilient jobs run a batch of one
+// from a fresh handle (under the watchdog when the job sets a
+// timeout), so their replies carry the same setup/solve split as any
+// cold batch; resilient jobs run hpfexec.SolveCGResilient.
+func (s *Scheduler) runSolo(j *Job) {
 	spec := j.Spec
-	topo, err := topology.ByName(spec.Topology)
+	m, err := newMachine(spec)
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
 	}
-	m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
 	if spec.Fault != "" {
-		plan, perr := fault.Parse(spec.Fault)
-		if perr != nil {
-			s.finishJob(j, nil, perr)
+		plan, err := fault.Parse(spec.Fault)
+		if err != nil {
+			s.finishJob(j, nil, err)
 			return
 		}
-		inj, ierr := fault.NewInjector(plan)
-		if ierr != nil {
-			s.finishJob(j, nil, ierr)
+		inj, err := fault.NewInjector(plan)
+		if err != nil {
+			s.finishJob(j, nil, err)
 			return
 		}
 		m.AttachInjector(inj)
@@ -45,90 +44,82 @@ func (s *Scheduler) runSolo(j *Job, plan *hpf.Plan, A *sparse.CSR, b []float64, 
 		m.AttachTracer(tr)
 	}
 
-	res := &JobResult{BatchSize: 1}
-	var solveErr error
-	switch {
-	case spec.Resilient:
-		rres, err := hpfexec.SolveCGResilient(m, plan, A, b, opt, hpfexec.ResilientOptions{
+	if spec.Resilient {
+		plan, A, err := planFor(spec, nil)
+		if err != nil {
+			s.finishJob(j, nil, err)
+			return
+		}
+		live, rhs, opts := s.resolveRHS([]*Job{j}, A.NRows)
+		if len(live) == 0 {
+			return
+		}
+		rres, err := hpfexec.SolveCGResilient(m, plan, A, rhs[0], opts[0], hpfexec.ResilientOptions{
 			Interval:    spec.CkptInterval,
 			MaxRestarts: spec.MaxRestarts,
 		})
 		if err != nil {
-			solveErr = err
-			break
+			s.finishJob(j, nil, err)
+			return
 		}
-		res.Attempts = rres.Attempts
-		res.Failures = len(rres.Failures)
-		res.ModelTime = rres.TotalModelTime
-		fillResult(res, &rres.Result)
-	case spec.TimeoutMS > 0:
-		var r *hpfexec.Result
-		var err error
-		if spec.Pipelined {
-			r, err = hpfexec.SolveCGPipelinedTimeout(m, plan, A, b, opt, time.Duration(spec.TimeoutMS)*time.Millisecond)
-		} else {
-			r, err = hpfexec.SolveCGSStepTimeout(m, plan, A, b, opt, spec.SStep, time.Duration(spec.TimeoutMS)*time.Millisecond)
-		}
-		if err != nil {
-			solveErr = err
-			break
-		}
-		res.ModelTime = r.Run.ModelTime
-		fillResult(res, r)
-	default:
-		// Fault- and trace-attached jobs land here too: the pipelined
-		// solver runs under injectors (clock skew never reaches the
-		// arithmetic) and tracers (the hidden round shows as a span).
-		var r *hpfexec.Result
-		var err error
-		if spec.Pipelined {
-			r, err = hpfexec.SolveCGPipelined(m, plan, A, b, opt)
-		} else {
-			r, err = hpfexec.SolveCGSStep(m, plan, A, b, opt, spec.SStep)
-		}
-		if err != nil {
-			solveErr = err
-			break
-		}
-		res.ModelTime = r.Run.ModelTime
-		fillResult(res, r)
-	}
-	if solveErr != nil {
-		s.finishJob(j, nil, solveErr)
+		r := rres.Result
+		s.captureTrace(j, tr)
+		s.met.addModel(rres.TotalModelTime, r.Run.CommTime(), 0)
+		// The mission time spans every attempt; resilient runs plain CG.
+		s.finishJob(j, &JobResult{
+			X:              r.X,
+			Converged:      r.Stats.Converged,
+			Iterations:     r.Stats.Iterations,
+			Residual:       r.Stats.Residual,
+			Strategy:       r.Strategy.String(),
+			SStep:          1,
+			Replacements:   r.Stats.Replacements,
+			Reductions:     r.Stats.Reductions,
+			ModelTime:      rres.TotalModelTime,
+			SolveModelTime: rres.TotalModelTime,
+			CommTime:       r.Run.CommTime(),
+			BatchSize:      1,
+			Attempts:       rres.Attempts,
+			Failures:       len(rres.Failures),
+		}, nil)
 		return
 	}
-	res.SolveModelTime = res.ModelTime
 
-	if tr != nil {
-		if rec := tr.Last(); rec != nil {
-			var buf bytes.Buffer
-			if err := trace.WriteChromeTrace(&buf, rec); err == nil {
-				s.mu.Lock()
-				j.traceJSON = buf.Bytes()
-				s.mu.Unlock()
-			}
-		}
+	pr, err := prepareHandle(m, spec, nil)
+	if err != nil {
+		s.finishJob(j, nil, err)
+		return
 	}
-	s.met.addModel(res.ModelTime, res.CommTime, 0)
-	s.finishJob(j, res, nil)
+	live, rhs, opts := s.resolveRHS([]*Job{j}, pr.N())
+	if len(live) == 0 {
+		return
+	}
+	var out *hpfexec.BatchResult
+	if spec.TimeoutMS > 0 {
+		out, err = pr.SolveBatchTimeout(rhs, opts, time.Duration(spec.TimeoutMS)*time.Millisecond)
+	} else {
+		out, err = pr.SolveBatch(rhs, opts)
+	}
+	if err != nil {
+		s.finishJob(j, nil, err)
+		return
+	}
+	s.captureTrace(j, tr)
+	s.finishBatch(live, out, false, 0)
 }
 
-// fillResult copies the solver outcome shared by every solo variant.
-func fillResult(res *JobResult, r *hpfexec.Result) {
-	res.X = r.X
-	res.Converged = r.Stats.Converged
-	res.Iterations = r.Stats.Iterations
-	res.Residual = r.Stats.Residual
-	res.Strategy = r.Strategy.String()
-	res.CommTime = r.Run.CommTime()
-	res.SStep = r.Strategy.SStep
-	if res.SStep == 0 {
-		res.SStep = 1 // plain-CG paths (resilient) never engage s-step
+// captureTrace stores the job's Perfetto trace before the job is
+// finished, so a waiter that sees it done can download it.
+func (s *Scheduler) captureTrace(j *Job, tr *trace.Tracer) {
+	if tr == nil {
+		return
 	}
-	res.Replacements = r.Stats.Replacements
-	res.Pipelined = r.Stats.Pipelined
-	res.Reductions = r.Stats.Reductions
-	if res.ModelTime == 0 {
-		res.ModelTime = r.Run.ModelTime
+	if rec := tr.Last(); rec != nil {
+		var buf bytes.Buffer
+		if err := trace.WriteChromeTrace(&buf, rec); err == nil {
+			s.mu.Lock()
+			j.traceJSON = buf.Bytes()
+			s.mu.Unlock()
+		}
 	}
 }

@@ -44,7 +44,7 @@ func TestSStepAutoSelection(t *testing.T) {
 }
 
 // A fixed sstep job must answer bit-identically to the direct
-// hpfexec.SolveCGSStep at the same factor.
+// s-step hpfexec handle at the same factor.
 func TestSStepFixedBitIdenticalToDirect(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Drain(testCtx(t))
@@ -74,10 +74,15 @@ func TestSStepFixedBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want, err := hpfexec.SolveCGSStep(m, plan, A, b, core.Options{}, 4)
+	pr, err := hpfexec.PrepareSStep(m, plan, A, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := out.Results[0]
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] service %v != direct %v", i, v.Result.X[i], want.X[i])
