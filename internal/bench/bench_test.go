@@ -503,6 +503,32 @@ func TestE20ResilienceShape(t *testing.T) {
 	}
 }
 
+// E20's tables are a function of the seeded plan and the modeled clock
+// alone: a failed attempt is charged up to its crash instant, never to
+// where the survivors happened to stop, so repeat runs render
+// byte-identical tables.
+func TestE20Deterministic(t *testing.T) {
+	render := func() string {
+		tables, err := E20(quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, tb := range tables {
+			if err := tb.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	first := render()
+	for i := 0; i < 4; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i+1, got, first)
+		}
+	}
+}
+
 // E21: the solver service must amortize setup. Table 2 is
 // deterministic (one worker, preloaded queue, exact occupancy): the
 // per-job share of the modeled setup must fall monotonically with the

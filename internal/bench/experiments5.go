@@ -30,7 +30,7 @@ type missionOutcome struct {
 
 // runMission drives core.CGResilient under a fault plan until the
 // solve converges: each comm.PeerFailure advances the injector's
-// mission clock by the failed attempt's modeled time and restarts from
+// mission clock to the failure's modeled instant and restarts from
 // the newest complete checkpoint (the same loop hpfexec.SolveCGResilient
 // runs, kept inline here so E20 can account lost work per attempt).
 func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan fault.Plan, opt core.Options) (missionOutcome, error) {
@@ -66,11 +66,11 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 			startIter = k
 		}
 		rs, runErr := m.RunChecked(fn)
-		out.mission += rs.ModelTime
 		if runErr == nil {
 			if solveErr != nil {
 				return out, solveErr
 			}
+			out.mission += rs.ModelTime
 			out.final = rs.ModelTime
 			out.useful = out.st.Iterations
 			return out, nil
@@ -79,11 +79,15 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 		if !errors.As(runErr, &pf) {
 			return out, runErr
 		}
+		// A failed attempt ends at the failure's modeled instant. The
+		// survivors' clocks and iteration counts run on until they see
+		// the abort, which depends on scheduling, so neither is read.
 		out.crashes++
-		if got := store.Reached(); got > startIter {
+		out.mission += pf.Clock
+		if got := store.Reached(pf.Rank); got > startIter {
 			out.lost += got - startIter
 		}
-		inj.Advance(rs.ModelTime)
+		inj.Advance(pf.Clock)
 	}
 }
 
@@ -181,7 +185,8 @@ func E20(cfg Config) ([]*report.Table, error) {
 		Notes: []string{
 			"Seeded fault.RandomPlan schedules crashes with the given MTBF (in units of the",
 			"healthy makespan T) over a 3T horizon; mission_t sums every attempt's modeled",
-			"time; slowdown = mission_t / T. lost_iters = iterations rolled back by failures.",
+			"time, a failed attempt's up to its crash; slowdown = mission_t / T. lost_iters =",
+			"iterations the crashed rank had started past the restart point, rolled back.",
 		},
 	}
 	mtbfFracs := []float64{0.4, 1.0}

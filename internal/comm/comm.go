@@ -322,27 +322,34 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 	// Classify the panics: a programming error on any rank always wins
 	// and re-panics; injected-fault deaths (crashPanic from the dying
 	// rank, PeerFailure from a deadline-detecting survivor) become the
-	// run's error; secondary abortErrors are suppressed.
+	// run's error; secondary abortErrors are suppressed. When several
+	// ranks died, the run failed at the earliest modeled instant (ties
+	// to the lowest rank): a later death only happened because its rank
+	// had not yet seen the abort, so reporting it would make the error
+	// depend on goroutine scheduling.
 	var bug any
-	var fail error
+	var fail *PeerFailure
 	aborted := false
 	for _, e := range panics {
+		var pf PeerFailure
 		switch v := e.(type) {
 		case nil:
+			continue
 		case abortError:
 			aborted = true
+			continue
 		case crashPanic:
-			if fail == nil {
-				fail = PeerFailure{Rank: v.rank, Clock: v.clock}
-			}
+			pf = PeerFailure{Rank: v.rank, Clock: v.clock}
 		case PeerFailure:
-			if fail == nil {
-				fail = v
-			}
+			pf = v
 		default:
 			if bug == nil {
 				bug = e
 			}
+			continue
+		}
+		if fail == nil || pf.Clock < fail.Clock {
+			fail = &pf
 		}
 	}
 	if bug != nil {
@@ -372,7 +379,10 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 	if rec != nil {
 		rec.Seal(rs.ModelTime)
 	}
-	return rs, fail
+	if fail != nil {
+		return rs, *fail
+	}
+	return rs, nil
 }
 
 // Proc is one virtual processor inside a Run. All methods must be

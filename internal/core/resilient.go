@@ -88,18 +88,13 @@ func (cs *CheckpointStore) Latest() (slot, iter int) {
 	return slot, iter
 }
 
-// Reached returns the highest iteration any rank had started — the
-// lost-work probe the restart driver uses to account iterations that a
-// failed attempt computed past its last checkpoint.
-func (cs *CheckpointStore) Reached() int {
-	max := 0
-	for _, k := range cs.reached {
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
+// Reached returns the highest iteration rank had started — the
+// lost-work probe the restart driver reads for the rank whose failure
+// ended an attempt, to account iterations computed past the last
+// checkpoint. Read it for that rank only: it stopped at a modeled
+// instant, while the survivors run on until they see the abort, so
+// their counts depend on goroutine scheduling.
+func (cs *CheckpointStore) Reached(rank int) int { return cs.reached[rank] }
 
 // save snapshots one rank's loop state into a slot: payload first, the
 // iteration stamp last. The copies contain no communication or modeled
@@ -208,7 +203,10 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 			return st, nil
 		}
 	} else {
-		// Clean start: identical to CG's prologue.
+		// Clean start: identical to CG's prologue. A failed attempt
+		// with no complete checkpoint leaves its count behind; reset it
+		// so a crash before iteration 1 loses nothing.
+		cs.reached[rank] = 0
 		rnsq, bn = residual0(o, A, b, x, r)
 		rn = math.Sqrt(rnsq)
 		if rn/bn <= opt.Tol {

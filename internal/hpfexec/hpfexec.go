@@ -86,8 +86,9 @@ type ResilientResult struct {
 	// Failures lists the typed failures the restarts absorbed.
 	Failures []comm.PeerFailure
 	// TotalModelTime sums the modeled makespan over all attempts — the
-	// mission time, failed work and recovery included. Result.Run holds
-	// only the final attempt.
+	// mission time, failed work and recovery included; a failed attempt
+	// counts up to its failure's modeled instant. Result.Run holds only
+	// the final attempt.
 	TotalModelTime float64
 	// TotalIterations counts CG iterations computed across attempts;
 	// LostIterations is the share rolled back by failures (computed
@@ -105,8 +106,8 @@ type ResilientResult struct {
 // which stays cold until an attempt succeeds, so every attempt pays
 // the operator setup. When the machine's fault injector carries a
 // mission clock (an Advance(float64) method, as fault.Injector does),
-// it is advanced by each failed attempt's modeled time so the
-// remaining fault schedule stays aligned.
+// it is advanced to each failure's modeled instant so the remaining
+// fault schedule stays aligned.
 func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
 	if ropt.Interval == 0 {
 		ropt.Interval = 10
@@ -130,10 +131,10 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 			startIter = k
 		}
 		batch, run, runErr := pr.solve([][]float64{b}, []core.Options{opt}, m.RunChecked)
-		out.TotalModelTime += run.ModelTime
 		if runErr == nil {
 			r := batch.Results[0]
 			out.Result = *r
+			out.TotalModelTime += run.ModelTime
 			out.TotalIterations += r.Stats.Iterations - r.Stats.StartIteration
 			out.LostIterations = out.TotalIterations - r.Stats.Iterations
 			return out, nil
@@ -142,15 +143,19 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 		if !errors.As(runErr, &pf) {
 			return nil, runErr
 		}
+		// A failed attempt ends at the failure's modeled instant: the
+		// survivors' clocks and iteration counts run on until they see
+		// the abort, which depends on scheduling, so neither is read.
 		out.Failures = append(out.Failures, pf)
-		if got := store.Reached(); got > startIter {
+		out.TotalModelTime += pf.Clock
+		if got := store.Reached(pf.Rank); got > startIter {
 			out.TotalIterations += got - startIter
 		}
 		if out.Attempts > ropt.MaxRestarts {
 			return nil, fmt.Errorf("hpfexec: solve failed after %d attempts: %w", out.Attempts, pf)
 		}
 		if adv, ok := m.Injector().(interface{ Advance(float64) }); ok {
-			adv.Advance(run.ModelTime)
+			adv.Advance(pf.Clock)
 		}
 	}
 }

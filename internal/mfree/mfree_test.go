@@ -92,14 +92,26 @@ func TestMulVecMatchesAssembled(t *testing.T) {
 // dot partials — to the assembled-CSR ghost executor over the same
 // brick layout, with the same local entry counts feeding the flop
 // charges.
+//
+// The shapes cover every branch of the sweeps' interior/boundary
+// split: 27pt 6×5×8 and 5pt 9×8 have several interior columns per
+// plane, 3×4×9 has one, and 2×2×8, 1×4×6 and 4×1×6 have none. np = 6
+// and np = 8 give the Nz = 6 and Nz = 8 shapes one-plane slabs, whose
+// both z-neighbours are ghost planes.
 func TestBitIdenticalToAssembled(t *testing.T) {
-	for _, s := range []Spec{spec5, spec27, {Stencil: "27pt", Nx: 2, Ny: 2, Nz: 8, Center: 7.5, Off: -0.25}} {
+	for _, s := range []Spec{
+		spec5, spec27, {Stencil: "27pt", Nx: 2, Ny: 2, Nz: 8, Center: 7.5, Off: -0.25},
+		{Stencil: "27pt", Nx: 6, Ny: 5, Nz: 8},
+		{Stencil: "27pt", Nx: 1, Ny: 4, Nz: 6},
+		{Stencil: "27pt", Nx: 4, Ny: 1, Nz: 6},
+		{Stencil: "5pt", Nx: 9, Ny: 8},
+	} {
 		A, err := s.Assemble()
 		if err != nil {
 			t.Fatal(err)
 		}
 		xs := sparse.RandomVector(s.N(), 3)
-		for _, np := range []int{1, 2, 3, 4, 8} {
+		for _, np := range []int{1, 2, 3, 4, 6, 8} {
 			if _, err := s.Brick(np); err != nil {
 				continue // slab dimension thinner than np
 			}
@@ -126,7 +138,7 @@ func TestBitIdenticalToAssembled(t *testing.T) {
 				for i := range ml {
 					if ml[i] != al[i] {
 						t.Errorf("np=%d rank %d: Apply[%d] = %v, assembled %v", np, p.Rank(), i, ml[i], al[i])
-						return
+						break // still join the ApplyDot halo exchange below
 					}
 				}
 				dm := op.ApplyDot(x, ym)
@@ -329,4 +341,39 @@ func TestModelBytesTiny(t *testing.T) {
 	if mb*100 > csrBytes {
 		t.Errorf("ModelBytes %d not well below assembled %d", mb, csrBytes)
 	}
+}
+
+// benchSink keeps the benchmarked dot partials live.
+var benchSink float64
+
+// benchApplyDot times the fused sweep on one rank owning the whole
+// spec: no halo traffic, so the number is the stencil kernel's.
+func benchApplyDot(b *testing.B, s Spec) {
+	machine(1).Run(func(p *comm.Proc) {
+		op, err := New(p, s)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		x := darray.New(p, op.Dist())
+		y := darray.New(p, op.Dist())
+		x.SetGlobal(func(g int) float64 { return float64(g%7) - 3 })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += op.ApplyDot(x, y)
+		}
+	})
+}
+
+// BenchmarkSweep27 runs the 27-point kernel on one rank's share of
+// solve-large's 27pt 32³ stencil job at np = 4: a 32×32×8 slab.
+func BenchmarkSweep27(b *testing.B) {
+	benchApplyDot(b, Spec{Stencil: "27pt", Nx: 32, Ny: 32, Nz: 8})
+}
+
+// BenchmarkSweep5 runs the 5-point kernel on a 256×64 grid, one rank's
+// share of a 256² Laplacian at np = 4.
+func BenchmarkSweep5(b *testing.B) {
+	benchApplyDot(b, Spec{Stencil: "5pt", Nx: 64, Ny: 256})
 }

@@ -186,86 +186,91 @@ func (lv *level) rebind(p *comm.Proc) {
 // frozen — Gauss-Seidel within the rank, block-Jacobi across ranks,
 // the HPCG smoother. Sequential per rank with a fixed sweep order, so
 // the result is bit-deterministic.
+//
+// The row loops below read the CSR arrays through local slices and
+// hand rowSub each row's entries as sub-slices, so the inner loop runs
+// without per-term struct loads or bounds checks on val. Row order,
+// term order (the stored ascending column order) and the diagonal
+// update are those of the plain loop, so every x bit is unchanged.
 func (lv *level) symgs(p *comm.Proc, rl, xl []float64) {
 	ghosts := lv.sched.Exchange(xl)
+	rowPtr, col, val, diag := lv.rowPtr, lv.col, lv.val, lv.diag
 	for i := 0; i < lv.n; i++ {
-		s := rl[i]
-		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
-			if c := lv.col[k]; c >= 0 {
-				s -= lv.val[k] * xl[c]
-			} else {
-				s -= lv.val[k] * ghosts[-c-1]
-			}
-		}
-		s += lv.diag[i] * xl[i]
-		xl[i] = s / lv.diag[i]
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		s := rowSub(rl[i], col[lo:hi], val[lo:hi], xl, ghosts)
+		s += diag[i] * xl[i]
+		xl[i] = s / diag[i]
 	}
 	for i := lv.n - 1; i >= 0; i-- {
-		s := rl[i]
-		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
-			if c := lv.col[k]; c >= 0 {
-				s -= lv.val[k] * xl[c]
-			} else {
-				s -= lv.val[k] * ghosts[-c-1]
-			}
-		}
-		s += lv.diag[i] * xl[i]
-		xl[i] = s / lv.diag[i]
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		s := rowSub(rl[i], col[lo:hi], val[lo:hi], xl, ghosts)
+		s += diag[i] * xl[i]
+		xl[i] = s / diag[i]
 	}
 	p.Compute(4*lv.nnzLocal + 6*lv.n)
 }
 
+// rowSub returns s minus row·x, one term per stored entry in stored
+// order: cols and vals are one row's entries, a column >= 0 reads xl
+// and a column < 0 reads ghost slot -(c+1).
+func rowSub(s float64, cols []int, vals, xl, ghosts []float64) float64 {
+	vals = vals[:len(cols)]
+	for k, c := range cols {
+		if c >= 0 {
+			s -= vals[k] * xl[c]
+		} else {
+			s -= vals[k] * ghosts[-c-1]
+		}
+	}
+	return s
+}
+
 // matvec computes y = A·x on the local rows.
 func (lv *level) matvec(p *comm.Proc, xl, yl []float64) {
-	ghosts := lv.sched.Exchange(xl)
-	for i := 0; i < lv.n; i++ {
-		var s float64
-		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
-			if c := lv.col[k]; c >= 0 {
-				s += lv.val[k] * xl[c]
-			} else {
-				s += lv.val[k] * ghosts[-c-1]
-			}
-		}
-		yl[i] = s
-	}
+	lv.apply(xl, yl)
 	p.Compute(2 * lv.nnzLocal)
 }
 
 // matvecDot is matvec fused with the local partial of x·(A·x), the
 // form CG's fused iteration consumes.
 func (lv *level) matvecDot(p *comm.Proc, xl, yl []float64) float64 {
+	dot := lv.apply(xl, yl)
+	p.Compute(2*lv.nnzLocal + 2*lv.n)
+	return dot
+}
+
+// apply exchanges the halo of xl, writes A·x into yl and returns the
+// local x·(A·x) partial accumulated in row order. Each row sums its
+// entries in stored order into one scalar starting at 0.0.
+func (lv *level) apply(xl, yl []float64) float64 {
 	ghosts := lv.sched.Exchange(xl)
+	rowPtr, col, val := lv.rowPtr, lv.col, lv.val
 	var dot float64
 	for i := 0; i < lv.n; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols, vals := col[lo:hi], val[lo:hi]
+		vals = vals[:len(cols)]
 		var s float64
-		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
-			if c := lv.col[k]; c >= 0 {
-				s += lv.val[k] * xl[c]
+		for k, c := range cols {
+			if c >= 0 {
+				s += vals[k] * xl[c]
 			} else {
-				s += lv.val[k] * ghosts[-c-1]
+				s += vals[k] * ghosts[-c-1]
 			}
 		}
 		yl[i] = s
 		dot += xl[i] * s
 	}
-	p.Compute(2*lv.nnzLocal + 2*lv.n)
 	return dot
 }
 
 // residual computes res = r - A·x.
 func (lv *level) residual(p *comm.Proc, rl, xl, resl []float64) {
 	ghosts := lv.sched.Exchange(xl)
+	rowPtr, col, val := lv.rowPtr, lv.col, lv.val
 	for i := 0; i < lv.n; i++ {
-		s := rl[i]
-		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
-			if c := lv.col[k]; c >= 0 {
-				s -= lv.val[k] * xl[c]
-			} else {
-				s -= lv.val[k] * ghosts[-c-1]
-			}
-		}
-		resl[i] = s
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		resl[i] = rowSub(rl[i], col[lo:hi], val[lo:hi], xl, ghosts)
 	}
 	p.Compute(2*lv.nnzLocal + lv.n)
 }

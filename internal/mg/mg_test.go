@@ -399,3 +399,171 @@ func TestCoarseDirectDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// refSymgs, refResidual and refMatvecDot are the plain row loops the
+// level kernels replaced: every access through the level struct, one
+// ghost test per term. They are the reference the kernels must match
+// bit for bit, charges included.
+func refSymgs(lv *level, p *comm.Proc, rl, xl []float64) {
+	ghosts := lv.sched.Exchange(xl)
+	for i := 0; i < lv.n; i++ {
+		s := rl[i]
+		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
+			if c := lv.col[k]; c >= 0 {
+				s -= lv.val[k] * xl[c]
+			} else {
+				s -= lv.val[k] * ghosts[-c-1]
+			}
+		}
+		s += lv.diag[i] * xl[i]
+		xl[i] = s / lv.diag[i]
+	}
+	for i := lv.n - 1; i >= 0; i-- {
+		s := rl[i]
+		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
+			if c := lv.col[k]; c >= 0 {
+				s -= lv.val[k] * xl[c]
+			} else {
+				s -= lv.val[k] * ghosts[-c-1]
+			}
+		}
+		s += lv.diag[i] * xl[i]
+		xl[i] = s / lv.diag[i]
+	}
+	p.Compute(4*lv.nnzLocal + 6*lv.n)
+}
+
+func refResidual(lv *level, p *comm.Proc, rl, xl, resl []float64) {
+	ghosts := lv.sched.Exchange(xl)
+	for i := 0; i < lv.n; i++ {
+		s := rl[i]
+		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
+			if c := lv.col[k]; c >= 0 {
+				s -= lv.val[k] * xl[c]
+			} else {
+				s -= lv.val[k] * ghosts[-c-1]
+			}
+		}
+		resl[i] = s
+	}
+	p.Compute(2*lv.nnzLocal + lv.n)
+}
+
+func refMatvecDot(lv *level, p *comm.Proc, xl, yl []float64) float64 {
+	ghosts := lv.sched.Exchange(xl)
+	var dot float64
+	for i := 0; i < lv.n; i++ {
+		var s float64
+		for k := lv.rowPtr[i]; k < lv.rowPtr[i+1]; k++ {
+			if c := lv.col[k]; c >= 0 {
+				s += lv.val[k] * xl[c]
+			} else {
+				s += lv.val[k] * ghosts[-c-1]
+			}
+		}
+		yl[i] = s
+		dot += xl[i] * s
+	}
+	p.Compute(2*lv.nnzLocal + 2*lv.n)
+	return dot
+}
+
+// TestKernelsBitIdenticalToReference: on every level of the hierarchy
+// the smoother, residual and fused mat-vec produce bit-identical x,
+// res, y and dot partials — and charge identical flops — to the plain
+// reference loops. 16³ bricks at np = 1, 2, 4 cover interior and ghost
+// planes; the 6×10×2 brick at np = 3 clamps to two levels whose coarse
+// level is odd-shaped (3×5×3) with one plane per rank, so every row
+// there reads both ghost planes.
+func TestKernelsBitIdenticalToReference(t *testing.T) {
+	cases := []struct {
+		np   int
+		spec Spec
+	}{
+		{1, Spec{Nx: 16, Ny: 16, Nz: 16}},
+		{2, Spec{Nx: 16, Ny: 16, Nz: 16}},
+		{4, Spec{Nx: 16, Ny: 16, Nz: 16}},
+		{3, Spec{Nx: 6, Ny: 10, Nz: 2, Levels: 5}},
+	}
+	same := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, c := range cases {
+		machine(c.np).Run(func(p *comm.Proc) {
+			pb, err := NewProblem(p, c.spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if c.np == 3 && (pb.Levels() != 2 || pb.levels[1].b.X != 3 || pb.levels[1].b.Y != 5) {
+				t.Errorf("np=3 %s: hierarchy %d levels, coarse %dx%d; want 2 levels, coarse 3x5",
+					c.spec.Key(), pb.Levels(), pb.levels[len(pb.levels)-1].b.X, pb.levels[len(pb.levels)-1].b.Y)
+			}
+			for l, lv := range pb.levels {
+				rl := make([]float64, lv.n)
+				x0 := make([]float64, lv.n)
+				for i := range rl {
+					g := lv.lo + i
+					rl[i] = float64(g%11) - 5
+					x0[i] = float64(g%7)*0.25 - 0.6
+				}
+				flops := func(f func()) int64 {
+					before := p.Stats().Flops
+					f()
+					return p.Stats().Flops - before
+				}
+				tag := fmt.Sprintf("np=%d %s level %d rank %d", c.np, c.spec.Key(), l, p.Rank())
+
+				xk, xr := append([]float64(nil), x0...), append([]float64(nil), x0...)
+				fk := flops(func() { lv.symgs(p, rl, xk) })
+				fr := flops(func() { refSymgs(lv, p, rl, xr) })
+				if i := same(xk, xr); i >= 0 || fk != fr {
+					t.Errorf("%s: symgs x[%d] differs or flops %d vs %d", tag, i, fk, fr)
+				}
+
+				rk, rr := make([]float64, lv.n), make([]float64, lv.n)
+				fk = flops(func() { lv.residual(p, rl, xk, rk) })
+				fr = flops(func() { refResidual(lv, p, rl, xr, rr) })
+				if i := same(rk, rr); i >= 0 || fk != fr {
+					t.Errorf("%s: residual res[%d] differs or flops %d vs %d", tag, i, fk, fr)
+				}
+
+				yk, yr := make([]float64, lv.n), make([]float64, lv.n)
+				var dk, dr float64
+				fk = flops(func() { dk = lv.matvecDot(p, xk, yk) })
+				fr = flops(func() { dr = refMatvecDot(lv, p, xr, yr) })
+				if i := same(yk, yr); i >= 0 || fk != fr || math.Float64bits(dk) != math.Float64bits(dr) {
+					t.Errorf("%s: matvecDot y[%d] differs, dot %v vs %v, or flops %d vs %d", tag, i, dk, dr, fk, fr)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSymGS times one smoother sweep on the fine level of a
+// 16×16×16 brick on one rank — solve-large's per-rank hpcg shape.
+func BenchmarkSymGS(b *testing.B) {
+	machine(1).Run(func(p *comm.Proc) {
+		pb, err := NewProblem(p, Spec{Nx: 16, Ny: 16, Nz: 16})
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		lv := pb.levels[0]
+		rl := make([]float64, lv.n)
+		for i := range rl {
+			rl[i] = float64(i%7) - 3
+		}
+		xl := make([]float64, lv.n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lv.symgs(p, rl, xl)
+		}
+	})
+}
